@@ -18,18 +18,26 @@ snapshots:
 This is multi-versioning with exactly two interesting versions: the
 published epoch N (readers) and the in-progress epoch N+1 (the single
 ingest thread).  No reader ever blocks an ingest and vice versa.
+
+**Read index.**  The first query of a relation at an epoch builds a
+:class:`RelationIndex` on the snapshot: every row's guard-substituted
+*effective* condition, its c-variable set, and a cache of definite
+``sat(effective)`` verdicts.  Later reads of the same epoch reuse it, and
+it is dropped with the snapshot — publishing does no index work, and an
+epoch nobody reads never builds one.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
+from ..ctable.condition import FALSE, TRUE, Condition
 from ..ctable.table import CTuple, Database
 from ..ctable.terms import Constant, CVariable
 
-__all__ = ["RelationView", "Snapshot", "EpochManager"]
+__all__ = ["RelationView", "RelationIndex", "Snapshot", "EpochManager"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +50,65 @@ class RelationView:
 
     def __len__(self) -> int:
         return len(self.tuples)
+
+
+@dataclass(frozen=True)
+class RelationIndex:
+    """One relation's read index at one epoch.
+
+    Holds the rows that still exist once the epoch's guard assignments
+    are substituted (a row whose condition folds to FALSE is gone), in
+    snapshot order, each with its effective condition and that
+    condition's c-variables.  ``verdicts`` caches *definite*
+    ``sat(effective)`` answers, filled by readers on demand; UNKNOWN is
+    never stored, so a better-budgeted read gets a fresh chance.
+    """
+
+    tuples: Tuple[CTuple, ...]
+    effective: Tuple[Condition, ...]
+    cvars: Tuple[FrozenSet[CVariable], ...]
+    verdicts: Dict[Condition, bool]
+
+    def __len__(self) -> int:
+        return len(self.tuples)
+
+    @classmethod
+    def build(
+        cls,
+        view: RelationView,
+        assignments: Mapping[CVariable, Constant],
+        inherited: Optional[Mapping[Condition, bool]] = None,
+    ) -> "RelationIndex":
+        """Substitute the guard assignments once for every row.
+
+        ``substitute`` runs only on rows whose c-variables meet an
+        assigned guard; every other row keeps its condition object.
+        ``inherited`` seeds the verdict cache with earlier answers for
+        conditions this epoch still holds (a condition's satisfiability
+        depends only on the condition and its variables' domains).
+        """
+        assigned = frozenset(assignments)
+        tuples = []
+        effective = []
+        cvars = []
+        for tup in view.tuples:
+            condition = tup.condition
+            names = condition.cvariables()
+            if assigned and not names.isdisjoint(assigned):
+                condition = condition.substitute(assignments)
+                if condition is FALSE:
+                    continue  # withdrawn worlds: the row no longer exists
+                names = condition.cvariables()
+            tuples.append(tup)
+            effective.append(condition)
+            cvars.append(names)
+        verdicts: Dict[Condition, bool] = {TRUE: True}
+        if inherited:
+            for condition in effective:
+                known = inherited.get(condition)
+                if known is not None:
+                    verdicts[condition] = known
+        return cls(tuple(tuples), tuple(effective), tuple(cvars), verdicts)
 
 
 @dataclass(frozen=True)
@@ -61,6 +128,9 @@ class Snapshot:
     seq: int
     relations: Dict[str, RelationView]
     assignments: Dict[CVariable, Constant] = field(default_factory=dict)
+    _indexes: Dict[str, RelationIndex] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def relation(self, name: str) -> RelationView:
         try:
@@ -70,6 +140,20 @@ class Snapshot:
 
     def names(self) -> Tuple[str, ...]:
         return tuple(sorted(self.relations))
+
+    def read_index(
+        self, name: str, inherited: Optional[Mapping[Condition, bool]] = None
+    ) -> RelationIndex:
+        """The relation's read index, built by the first reader of the epoch.
+
+        Two readers racing on a cold index may both build it; the first
+        stored wins and both answer from identical contents.
+        """
+        index = self._indexes.get(name)
+        if index is None:
+            built = RelationIndex.build(self.relation(name), self.assignments, inherited)
+            index = self._indexes.setdefault(name, built)
+        return index
 
     @classmethod
     def capture(

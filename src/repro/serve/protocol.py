@@ -33,8 +33,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
+from ..ctable.condition import Comparison
 from ..ctable.parse import ParseError, TokenStream, parse_condition, parse_term, tokenize
-from ..ctable.terms import Constant
+from ..ctable.terms import Constant, Variable
 from .wal import UpdateEntry
 
 __all__ = [
@@ -182,15 +183,31 @@ def parse_values(raw_values: List[Any]) -> List[Any]:
 
 
 def parse_where(raw: Optional[str]):
-    """Parse an optional condition string (update condition or query filter)."""
+    """Parse an optional condition string (update condition or query filter).
+
+    A wire condition speaks about c-variables only.  A bare lowercase
+    identifier parses as a *program* variable, which no solver or
+    evaluator can decide, so it is refused here as ``MALFORMED`` —
+    before an update reaches the WAL and before a query scans a row.
+    """
     if raw is None:
         return None
     if not isinstance(raw, str):
         raise ServeRequestError("MALFORMED", f"bad condition {raw!r}: want a string")
     try:
-        return parse_condition(raw)
+        condition = parse_condition(raw)
     except ParseError as exc:
         raise ServeRequestError("MALFORMED", f"bad condition {raw!r}: {exc}") from exc
+    for atom in condition.atoms():
+        if isinstance(atom, Comparison):
+            for term in (atom.lhs, atom.rhs):
+                if isinstance(term, Variable):
+                    raise ServeRequestError(
+                        "MALFORMED",
+                        f"bad condition {raw!r}: {term.name!r} is not a "
+                        f"c-variable (write ${term.name}) or a constant",
+                    )
+    return condition
 
 
 def validate_update(obj: Dict[str, Any]) -> UpdateEntry:

@@ -65,6 +65,10 @@ __all__ = ["FaureServer"]
 #: the real admission control).
 _INGEST_WAIT_SECONDS = 120.0
 
+#: Seconds a stopping daemon waits for requests already dispatched to
+#: write their responses (the shutdown ack among them) before it closes.
+_ANSWER_WAIT_SECONDS = 10.0
+
 #: Default max entries per tail batch (a client may ask for fewer).
 _TAIL_BATCH_MAX = 512
 
@@ -105,12 +109,19 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
             if not line.strip():
                 continue
-            response, close = server.dispatch(line.strip())
+            with server._answering:
+                server._in_flight += 1
             try:
-                self.wfile.write(encode(response))
-                self.wfile.flush()
-            except (ConnectionError, OSError):
-                return
+                response, close = server.dispatch(line.strip())
+                try:
+                    self.wfile.write(encode(response))
+                    self.wfile.flush()
+                except (ConnectionError, OSError):
+                    return
+            finally:
+                with server._answering:
+                    server._in_flight -= 1
+                    server._answering.notify_all()
             # A stopping daemon answers the in-flight request, then drops
             # the connection — so tailing replicas and pooled clients see
             # the stop as a disconnect, the same signal a crash gives.
@@ -145,6 +156,10 @@ class FaureServer:
         self.counters: Dict[str, int] = {"requests": 0, "shed": 0, "protocol_errors": 0}
         self.fatal: Optional[BaseException] = None
         self._stopping = threading.Event()
+        #: Handler threads are daemon threads, so the process can exit
+        #: under one mid-write; ``_finish`` waits on this count instead.
+        self._answering = threading.Condition()
+        self._in_flight = 0
         self._queue: "queue.Queue[Optional[Tuple[Any, _Box]]]" = queue.Queue(
             maxsize=max(1, queue_limit)
         )
@@ -257,11 +272,10 @@ class FaureServer:
         relation = obj.get("relation")
         if not isinstance(relation, str) or not relation:
             return error_response("MALFORMED", "query needs a 'relation' string")
-        limit = obj.get("limit")
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
-            return error_response("MALFORMED", "'limit' must be a non-negative integer")
         try:
-            return self.state.query(relation, where=obj.get("where"), limit=limit)
+            return self.state.query(
+                relation, where=obj.get("where"), limit=obj.get("limit")
+            )
         except ServeRequestError as exc:
             return exc.response()
 
@@ -416,5 +430,9 @@ class FaureServer:
                 tailer.stop()
             except Exception:  # pragma: no cover - shutdown best-effort
                 pass
+        with self._answering:
+            self._answering.wait_for(
+                lambda: self._in_flight == 0, timeout=_ANSWER_WAIT_SECONDS
+            )
         self._tcp.server_close()
         self.state.close()

@@ -49,7 +49,7 @@ import dataclasses
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..ctable.condition import Condition, FALSE, TRUE, TrueCond, conjoin, eq
 from ..ctable.io import (
@@ -70,7 +70,7 @@ from ..robustness.verdict import Verdict
 from ..solver.domains import BOOL_DOMAIN
 from ..solver.interface import ConditionSolver
 from ..solver.memo import MemoTable
-from .epochs import EpochManager, Snapshot
+from .epochs import EpochManager, RelationIndex, Snapshot
 from .protocol import ServeRequestError, parse_values, parse_where
 from .snapshots import (
     build_snapshot_obj,
@@ -80,7 +80,7 @@ from .snapshots import (
 )
 from .wal import UpdateEntry, WriteAheadLog, wal_fingerprint
 
-__all__ = ["ServeBudgets", "ServeState", "row_to_obj"]
+__all__ = ["ServeBudgets", "ServeState", "conjoin_verdicts", "row_to_obj"]
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,15 @@ def row_to_obj(tup: CTuple, unknown: bool = False, condition: Optional[Condition
     if unknown:
         row["unknown"] = True
     return row
+
+
+def conjoin_verdicts(left: Verdict, right: Verdict) -> Verdict:
+    """Three-valued AND of the verdicts of two variable-disjoint conditions."""
+    if left is Verdict.UNSAT or right is Verdict.UNSAT:
+        return Verdict.UNSAT
+    if left is Verdict.UNKNOWN or right is Verdict.UNKNOWN:
+        return Verdict.UNKNOWN
+    return Verdict.SAT
 
 
 def _maybe_compact_die() -> None:
@@ -236,6 +245,10 @@ class ServeState:
             base_seq = 0
         self.domains = domains
         self._memo = MemoTable()
+        #: Definite ``sat(effective)`` verdicts of the most recently
+        #: built read index per relation, inherited by the next epoch's
+        #: index.  Reset with the domain map they were decided under.
+        self._read_verdicts: Dict[str, Dict[Condition, bool]] = {}
         self._update_governor = self.budgets.governor()
         solver = ConditionSolver(
             domains, governor=self._update_governor, memo=self._memo
@@ -331,6 +344,11 @@ class ServeState:
                     f"no removable fact with guard {entry.guard!r}",
                 )
             return
+        # The grammar (and c-variables-only) checks of the wire path,
+        # repeated for in-process submitters: an entry ``apply`` would
+        # refuse must never become durable, or every replay refuses it.
+        parse_values(list(entry.values))
+        parse_where(entry.condition)
         if entry.relation in self.program.idb_predicates():
             raise ServeRequestError(
                 "IDB_INSERT",
@@ -583,14 +601,20 @@ class ServeState:
         the row (those worlds no longer exist), one folding to TRUE
         returns the row unconditional — so answers after a withdrawal
         match a from-scratch evaluation without the withdrawn fact.
+        The substitution happens once per epoch, in the snapshot's read
+        index (:class:`~repro.serve.epochs.RelationIndex`).
 
-        With a ``where`` filter, each surviving row's condition conjoined
-        with the filter goes to a fresh per-request governed solver:
-        ``SAT`` rows are returned, ``UNSAT`` rows dropped, and
+        With a ``where`` filter, a row is kept when ``effective ∧
+        filter`` is satisfiable, decided by a fresh per-request governed
+        solver: ``SAT`` rows are returned, ``UNSAT`` rows dropped, and
         ``UNKNOWN`` (budget ran out) rows returned flagged — the
         response degrades to ``status: INCONCLUSIVE`` rather than
-        stalling or failing.
+        stalling or failing.  Only rows sharing a c-variable with the
+        filter send the conjunction to the solver; see
+        :meth:`_filter_verdicts`.
         """
+        if limit is not None and (not isinstance(limit, int) or limit < 0):
+            raise ServeRequestError("MALFORMED", "'limit' must be a non-negative integer")
         snapshot = self.epochs.current()
         try:
             view = snapshot.relation(relation)
@@ -603,37 +627,33 @@ class ServeState:
         if condition is not None and assignments:
             condition = condition.substitute(assignments)
         self.counters["queries"] += 1
-        rows = []
+        index = snapshot.read_index(relation, self._read_verdicts.get(relation))
+        # The next epoch's first reader inherits these definite verdicts.
+        self._read_verdicts[relation] = index.verdicts
+        if condition is None:
+            verdicts = ((i, Verdict.SAT) for i in range(len(index)))
+        elif condition is FALSE:
+            verdicts = iter(())
+        else:
+            verdicts = self._filter_verdicts(index, condition)
+        kept = []
+        total = 0
         status = "OK"
-        solver: Optional[ConditionSolver] = None
-        for tup in view.tuples:
-            effective = (
-                tup.condition.substitute(assignments) if assignments else tup.condition
-            )
-            if effective is FALSE:
-                continue  # withdrawn worlds: the row no longer exists
-            if condition is None:
-                rows.append(row_to_obj(tup, condition=effective))
-                continue
-            if condition is FALSE:
-                continue
-            if solver is None:
-                solver = ConditionSolver(
-                    self.domains, governor=self.budgets.governor(), memo=self._memo
-                )
-            verdict = solver.sat_verdict(conjoin([effective, condition]))
+        for position, verdict in verdicts:
             if verdict is Verdict.UNSAT:
                 continue
             unknown = verdict is Verdict.UNKNOWN
             if unknown:
                 status = "INCONCLUSIVE"
-            rows.append(row_to_obj(tup, unknown=unknown, condition=effective))
+            if limit is None or total < limit:
+                kept.append((position, unknown))
+            total += 1
         if status == "INCONCLUSIVE":
             self.counters["queries_inconclusive"] += 1
-        total = len(rows)
-        truncated = limit is not None and total > limit
-        if truncated:
-            rows = rows[:limit]
+        rows = [
+            row_to_obj(index.tuples[i], unknown=unknown, condition=index.effective[i])
+            for i, unknown in kept
+        ]
         response: Dict[str, Any] = {
             "ok": True,
             "epoch": snapshot.epoch,
@@ -644,9 +664,42 @@ class ServeState:
             "rows": rows,
             "total": total,
         }
-        if truncated:
+        if limit is not None and total > limit:
             response["truncated"] = True
         return response
+
+    def _filter_verdicts(
+        self, index: RelationIndex, condition: Condition
+    ) -> Iterator[Tuple[int, Verdict]]:
+        """``sat(effective ∧ filter)`` for every indexed row, in order.
+
+        Every c-variable has its own domain, so a conjunction over
+        disjoint variable sets is satisfiable exactly when each side
+        is: a row sharing no c-variable with the filter is decided as
+        the three-valued AND of its cached ``sat(effective)`` and the
+        filter's own verdict (decided once per request).  Only rows
+        that share a variable send the conjunction to the solver.
+        """
+        solver = ConditionSolver(
+            self.domains, governor=self.budgets.governor(), memo=self._memo
+        )
+        filter_verdict = solver.sat_verdict(condition)
+        filter_vars = condition.cvariables()
+        known = index.verdicts
+        for position, (effective, names) in enumerate(zip(index.effective, index.cvars)):
+            if not names.isdisjoint(filter_vars):
+                yield position, solver.sat_verdict(conjoin([effective, condition]))
+            elif filter_verdict is Verdict.UNSAT:
+                yield position, Verdict.UNSAT
+            else:
+                cached = known.get(effective)
+                if cached is None:
+                    row_verdict = solver.sat_verdict(effective)
+                    if row_verdict.is_definite:
+                        known[effective] = row_verdict is Verdict.SAT
+                else:
+                    row_verdict = Verdict.from_bool(cached)
+                yield position, conjoin_verdicts(row_verdict, filter_verdict)
 
     # -- health --------------------------------------------------------------
 

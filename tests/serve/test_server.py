@@ -40,6 +40,12 @@ def test_malformed_lines_answered_not_fatal(server_factory):
         ({"op": "query"}, "relation"),
         ({"op": "query", "relation": "R", "limit": -1}, "limit"),
         ({"op": "query", "relation": "Missing"}, "Missing"),
+        ({"op": "query", "relation": "R", "where": "f == 1"}, "not a c-variable"),
+        (
+            {"op": "update", "relation": "F", "values": ["p1", "C", "D"],
+             "condition": "n1 == 1"},
+            "not a c-variable",
+        ),
         ({"op": "update", "relation": "F", "values": ["((bad"]}, "bad value"),
         ({"op": "update", "relation": "R", "values": ["x", "y", "z"]}, "derived"),
     ]:
@@ -56,6 +62,7 @@ def test_malformed_lines_answered_not_fatal(server_factory):
     # the daemon is still healthy and still ingests
     assert client.update("F", ["p1", "C", "D"])["ok"]
     assert server.state.counters["updates_applied"] == 1
+    assert server.state.wal.last_seq == 1  # no rejected update was logged
 
 
 def test_overload_sheds_with_retry_after(server_factory, tmp_path, monkeypatch):
@@ -148,3 +155,35 @@ def test_graceful_stop_exits_zero(make_state):
     server.stop()
     thread.join(timeout=30)
     assert outcome["exit"] == 0
+
+
+def test_shutdown_ack_is_written_before_serve_forever_returns(make_state, monkeypatch):
+    """The process may exit once serve_forever returns: the ack goes first."""
+    from repro.serve import server as server_module
+    from repro.serve.client import ServeClient
+
+    state = make_state()
+    server = FaureServer(state)
+    order = []
+    encode = server_module.encode
+
+    def slow_encode(obj):
+        if obj.get("shutdown"):
+            time.sleep(0.3)  # the handler thread is still writing the ack
+            order.append("ack")
+        return encode(obj)
+
+    monkeypatch.setattr(server_module, "encode", slow_encode)
+
+    def run():
+        server.serve_forever()
+        order.append("returned")
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    host, port = server.address
+    with ServeClient(host, port, timeout=30.0) as client:
+        assert client.shutdown() == {"ok": True, "shutdown": True}
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert order == ["ack", "returned"]

@@ -204,6 +204,47 @@ def test_query_budget_exhaustion_degrades_to_inconclusive(make_state):
     assert state.counters["queries_inconclusive"] == 1
 
 
+def test_program_variable_condition_never_reaches_the_wal(make_state):
+    """``n1 == 1`` names a program variable: refused before durability.
+
+    Logged, it would fail ``apply``, fail the in-process rebuild, and
+    then fail every restart on the same WAL.
+    """
+    state = make_state()
+    state.submit(insert("F", ("p1", "C", "D")))
+    for bad in ("n1 == 1", "$up == 1 AND n1 == 2", "NOT (x != 0)"):
+        with pytest.raises(ServeRequestError) as exc:
+            state.submit(insert("F", ("p1", "D", "E"), condition=bad))
+        assert exc.value.code == "MALFORMED"
+    with pytest.raises(ServeRequestError) as exc:
+        state.submit(insert("F", ("((", "D", "E")))
+    assert exc.value.code == "MALFORMED"
+    assert len(state.wal) == 1
+    assert state.counters["updates_rejected"] == 4
+    assert state.counters["recoveries"] == 0
+    before = rows_of(state)
+    state.close()
+    restarted = make_state()  # the same WAL comes back up
+    assert restarted.wal.last_seq == 1
+    assert rows_of(restarted) == before
+
+
+def test_query_bare_column_filter_is_malformed(make_state):
+    state = make_state()
+    with pytest.raises(ServeRequestError) as exc:
+        state.query("R", where="f == 1")
+    assert exc.value.code == "MALFORMED"
+
+
+@pytest.mark.parametrize("limit", [-1, 1.5, "2"])
+def test_query_rejects_a_bad_limit_in_process(make_state, limit):
+    state = make_state()
+    with pytest.raises(ServeRequestError) as exc:
+        state.query("R", limit=limit)
+    assert exc.value.code == "MALFORMED"
+    assert state.counters["queries"] == 0
+
+
 def test_query_limit_truncates_deterministically(make_state):
     state = make_state()
     full = state.query("F")
