@@ -127,8 +127,7 @@ lint-programs:
 # mypy over the analysis subsystem and the modules this PR touched;
 # config lives in pyproject.toml ([tool.mypy]).
 typecheck:
-	$(RUN) -m mypy src/repro/analysis src/repro/faurelog/analyze.py \
-		src/repro/faurelog/ast.py src/repro/faurelog/parser.py \
+	$(RUN) -m mypy src/repro/analysis src/repro/faurelog/ast.py src/repro/faurelog/parser.py \
 		src/repro/ctable/parse.py src/repro/engine/explain.py src/repro/cli.py
 
 examples:

@@ -1,8 +1,7 @@
 """The pass manager: ordered analyses, stable output, select/ignore.
 
 :func:`analyze_program` is the one-call entry point used by the ``lint``
-CLI, the legacy :func:`repro.faurelog.analyze.lint_program` shim, and
-the CI program gate.  :func:`analyze_text` parses in *relaxed* mode
+CLI and the CI program gate.  :func:`analyze_text` parses in *relaxed* mode
 first so safety and arity problems become positioned diagnostics rather
 than exceptions.
 """

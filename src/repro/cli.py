@@ -966,8 +966,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--optimize",
         action="store_true",
         help="run the static optimizer over the resident program: "
-        "pre-admission impact slicing plus solver-free condition "
-        "prechecks on the update path (answers byte-identical)",
+        "solver-free condition prechecks on the update path "
+        "(answers byte-identical)",
     )
     serve_lifecycle = serve.add_argument_group(
         "log lifecycle (WAL compaction into seed snapshots)"

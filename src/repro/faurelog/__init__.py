@@ -6,7 +6,6 @@ program containment by reduction to evaluation, and the Levy–Sagiv update
 rewrite.
 """
 
-from .analyze import Lint, lint_program
 from .answers import AnswerSet, classify_answers
 from .ast import Atom, BodyItem, Literal, Program, ProgramError, Rule
 from .containment import (
@@ -29,8 +28,6 @@ from .stratify import dependency_graph, is_recursive, stratify
 from .valuation import Bindings, build_head, derive, negation_condition, unify_value
 
 __all__ = [
-    "Lint",
-    "lint_program",
     "AnswerSet",
     "classify_answers",
     "Atom",

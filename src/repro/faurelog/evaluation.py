@@ -20,8 +20,7 @@ same split Table 4 reports.
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis imports ast)
     from ..analysis.optimize import ConditionPrecheck
@@ -39,7 +38,7 @@ from .ast import Program, ProgramError, Rule
 from .stratify import stratify
 from .valuation import build_head, derive
 
-__all__ = ["FaureEvaluator", "evaluate"]
+__all__ = ["FaureEvaluator", "Fixpoint", "evaluate"]
 
 
 class _ConditionIndex:
@@ -54,69 +53,218 @@ class _ConditionIndex:
     """
 
     def __init__(self) -> None:
-        self._by_key: Dict[Tuple[Term, ...], List[Condition]] = {}
-        self._canon_by_key: Dict[Tuple[Term, ...], set] = {}
+        self.by_key: Dict[Tuple[Term, ...], List[Condition]] = {}
+        self.canon_by_key: Dict[Tuple[Term, ...], set] = {}
         # Cache of disjoin(existing) per key, invalidated on record():
-        # is_new is called once per derived tuple, so rebuilding the
-        # disjunction each time dominates dedup cost on wide keys.
-        self._disjoined: Dict[Tuple[Term, ...], Condition] = {}
+        # dedup runs once per derived tuple, so rebuilding the
+        # disjunction each time dominates its cost on wide keys.
+        self.disjoined: Dict[Tuple[Term, ...], Condition] = {}
 
-    def is_new(
+    def record(
         self,
         key: Tuple[Term, ...],
         condition: Condition,
         solver: Optional[ConditionSolver],
+    ) -> None:
+        self.by_key.setdefault(key, []).append(condition)
+        self.disjoined.pop(key, None)
+        canon = self.canon_by_key.setdefault(key, set())
+        if solver is not None and solver.memo is not None:
+            canon.add(solver.canonical(condition))
+
+
+class Fixpoint:
+    """The prune / dedup / semi-naive loop both evaluators drive.
+
+    :class:`FaureEvaluator` runs it once per stratum, seeded by round 0
+    over the full storage; :class:`~repro.faurelog.incremental.IncrementalEvaluator`
+    runs it over the whole program, seeded by the one-fact delta of an
+    update.  Either way a derived tuple survives only if its condition
+    may hold (``UNKNOWN`` keeps it) and is not implied by the conditions
+    already recorded for its data part (``UNKNOWN`` records it).
+
+    A budget error from the round-boundary deadline check propagates;
+    each driver decides what a cut-short fixpoint means.
+    """
+
+    def __init__(
+        self,
+        storage: Storage,
+        solver: Optional[ConditionSolver],
+        stats: EvalStats,
+        governor: Optional[Governor] = None,
         precheck: Optional["ConditionPrecheck"] = None,
-        stats: Optional[EvalStats] = None,
+        prune: bool = True,
+        max_iterations: Optional[int] = None,
+        provenance: Optional[List[Tuple[str, Tuple[Term, ...], Condition, Optional[str]]]] = None,
+    ):
+        #: Where rule bodies match and derived tuples land.
+        self.storage = storage
+        self.solver = solver
+        self.stats = stats
+        self.governor = governor
+        self.precheck = precheck
+        self.prune = prune and solver is not None
+        self.max_iterations = max_iterations
+        self.provenance = provenance
+        #: Recorded conditions per derived relation (see :meth:`track`).
+        self.indexes: Dict[str, _ConditionIndex] = {}
+
+    def track(self, table: CTable) -> None:
+        """Dedup derivations into ``table``, recording its rows in order."""
+        index = self.indexes[table.name] = _ConditionIndex()
+        for tup in table:
+            index.record(tup.data_key(), tup.condition, self.solver)
+
+    # -- the per-tuple decisions ---------------------------------------------
+
+    def _count(self, hit: str) -> None:
+        self.stats.extra[hit] = self.stats.extra.get(hit, 0) + 1
+
+    def _keep(self, condition: Condition) -> bool:
+        if isinstance(condition, FalseCond):
+            self.stats.tuples_pruned += 1
+            return False
+        if not self.prune:
+            return True
+        if self.precheck is not None:
+            # Statically classified conditions skip the solver: True ⇒
+            # the solver would answer SAT (keep), False ⇒ UNSAT (prune).
+            hint = self.precheck.sat_hint(condition)
+            if hint is False:
+                self.stats.tuples_pruned += 1
+                self._count("static_unsat_hits")
+                return False
+            if hint is True:
+                self._count("static_sat_hits")
+                return True
+        verdict = self.solver.sat_verdict(condition)
+        if verdict is Verdict.UNSAT:
+            self.stats.tuples_pruned += 1
+            return False
+        if verdict is Verdict.UNKNOWN:
+            # Keep-on-UNKNOWN: sound, the table is merely less simplified.
+            self.stats.unknown_kept += 1
+        return True
+
+    def _is_new(
+        self, index: _ConditionIndex, key: Tuple[Term, ...], condition: Condition
     ) -> bool:
-        existing = self._by_key.get(key)
+        existing = index.by_key.get(key)
         if existing is None:
             return True
         if condition in existing:
             return False
         if any(e is TRUE for e in existing):
             return False
+        solver = self.solver
         if solver is None:
             return True
         # Canonical membership: equivalent-by-rewriting conditions skip
         # the implication solver entirely (sound — the solver's verdict
         # for them is necessarily TRUE).
-        if solver.memo is not None and solver.canonical(condition) in self._canon_by_key[key]:
+        if solver.memo is not None and solver.canonical(condition) in index.canon_by_key[key]:
             return False
         # Three-valued dedup: only a *definite* "implied by what's
         # recorded" may skip the insert.  UNKNOWN (budget exhausted)
         # treats the tuple as new — recording a redundant condition is
         # sound (possible worlds are unchanged), dropping a novel one
         # would lose worlds.
-        disjoined = self._disjoined.get(key)
+        disjoined = index.disjoined.get(key)
         if disjoined is None:
-            disjoined = disjoin(existing)
-            self._disjoined[key] = disjoined
-        if precheck is not None:
+            disjoined = index.disjoined[key] = disjoin(existing)
+        if self.precheck is not None:
             # The static classifier's entailment semi-decision is one-sided
             # and provably agrees with the solver: True ⇒ the solver's
             # verdict is TRUE (drop), False ⇒ it is FALSE (record).  Only
             # None falls through to a (budgeted, counted) solver call.
-            hint = precheck.implies_hint(condition, disjoined)
+            hint = self.precheck.implies_hint(condition, disjoined)
             if hint is not None:
-                if stats is not None:
-                    stats.extra["static_implies_hits"] = (
-                        stats.extra.get("static_implies_hits", 0) + 1
-                    )
+                self._count("static_implies_hits")
                 return not hint
         return solver.implies_verdict(condition, disjoined) is not Trivalent.TRUE
 
-    def record(
+    def _insert(self, rule: Rule, values: Tuple[Term, ...], condition: Condition) -> bool:
+        predicate = rule.head.predicate
+        index = self.indexes[predicate]
+        # Solver time (Table 4's split) covers the whole keep/dedup step.
+        start = phase_clock()
+        try:
+            if not (self._keep(condition) and self._is_new(index, values, condition)):
+                return False
+        finally:
+            self.stats.solver_seconds += phase_clock() - start
+        index.record(values, condition, self.solver)
+        self.storage.indexed(predicate).add(list(values), condition)
+        self.stats.tuples_generated += 1
+        if self.provenance is not None:
+            self.provenance.append((predicate, values, condition, rule.label))
+        return True
+
+    # -- the rounds ------------------------------------------------------------
+
+    def run(self, rules: Sequence[Rule], delta: Optional[Dict[str, CTable]] = None) -> int:
+        """Fire ``rules`` to fixpoint; returns the number of new tuples.
+
+        With no ``delta``, round 0 fires every rule on the full storage;
+        otherwise the semi-naive rounds start from ``delta``.
+        """
+        generated = self.stats.tuples_generated
+        heads = {rule.head.predicate for rule in rules}
+        if delta is None:
+            delta = self._empty_delta(heads)
+            for rule in rules:
+                if self.governor is not None:
+                    self.governor.check_deadline()
+                self._fire(rule, delta, derive(rule, self.storage))
+            self.stats.iterations += 1
+
+        # Semi-naive rounds: re-fire only rules that read the delta,
+        # once per positive literal bound to it.
+        iteration = 1
+        while True:
+            delta_indexed = {
+                name: IndexedTable(table) for name, table in delta.items() if len(table)
+            }
+            if not delta_indexed:
+                break
+            if self.governor is not None:
+                # Cooperative mid-iteration cancellation point: a blown
+                # deadline stops the fixpoint between rounds, never
+                # mid-insert, so tables stay internally consistent.
+                self.governor.check_deadline()
+            if self.max_iterations is not None and iteration > self.max_iterations:
+                raise ProgramError(
+                    f"fixpoint exceeded {self.max_iterations} iterations"
+                )
+            delta = self._empty_delta(heads)
+            for rule in rules:
+                for position, literal in enumerate(rule.positive_literals()):
+                    if literal.predicate in delta_indexed:
+                        self._fire(rule, delta, derive(
+                            rule,
+                            self.storage,
+                            delta_override=delta_indexed,
+                            delta_position=position,
+                        ))
+            iteration += 1
+            self.stats.iterations += 1
+        return self.stats.tuples_generated - generated
+
+    def _empty_delta(self, heads: Iterable[str]) -> Dict[str, CTable]:
+        return {p: CTable(p, self.storage.db.table(p).schema) for p in heads}
+
+    def _fire(
         self,
-        key: Tuple[Term, ...],
-        condition: Condition,
-        solver: Optional[ConditionSolver] = None,
+        rule: Rule,
+        delta: Dict[str, CTable],
+        derivations: Iterable[Tuple[Dict, Condition]],
     ) -> None:
-        self._by_key.setdefault(key, []).append(condition)
-        self._disjoined.pop(key, None)
-        canon = self._canon_by_key.setdefault(key, set())
-        if solver is not None and solver.memo is not None:
-            canon.add(solver.canonical(condition))
+        bucket = delta[rule.head.predicate]
+        for bindings, condition in derivations:
+            values = build_head(rule, bindings)
+            if self._insert(rule, values, condition):
+                bucket.add(list(values), condition)
 
 
 class FaureEvaluator:
@@ -184,48 +332,26 @@ class FaureEvaluator:
         #: (predicate, data part, condition, rule label) per derived tuple,
         #: in derivation order — populated when record_provenance is set.
         self.provenance: List[Tuple[str, Tuple[Term, ...], Condition, Optional[str]]] = []
+        #: The core of the last evaluation; its condition index is what
+        #: an incremental evaluator adopts to keep deduplicating.
+        self.fixpoint: Optional[Fixpoint] = None
         if storage is not None and storage.db is not database:
             raise ValueError("storage must wrap the same database")
         self._storage = storage
 
-    # -- solver accounting ---------------------------------------------------
-
-    def _timed_sat_verdict(self, condition: Condition) -> Verdict:
-        start = phase_clock()
-        try:
-            return self.solver.sat_verdict(condition)
-        finally:
-            self.stats.solver_seconds += phase_clock() - start
-
-    def _keep(self, condition: Condition) -> bool:
-        if isinstance(condition, FalseCond):
-            self.stats.tuples_pruned += 1
-            return False
-        if not self.prune:
-            return True
-        if self.precheck is not None:
-            # Statically classified conditions skip the solver: True ⇒
-            # the solver would answer SAT (keep), False ⇒ UNSAT (prune).
-            hint = self.precheck.sat_hint(condition)
-            if hint is False:
-                self.stats.tuples_pruned += 1
-                self.stats.extra["static_unsat_hits"] = (
-                    self.stats.extra.get("static_unsat_hits", 0) + 1
-                )
-                return False
-            if hint is True:
-                self.stats.extra["static_sat_hits"] = (
-                    self.stats.extra.get("static_sat_hits", 0) + 1
-                )
-                return True
-        verdict = self._timed_sat_verdict(condition)
-        if verdict is Verdict.UNSAT:
-            self.stats.tuples_pruned += 1
-            return False
-        if verdict is Verdict.UNKNOWN:
-            # Keep-on-UNKNOWN: sound, the table is merely less simplified.
-            self.stats.unknown_kept += 1
-        return True
+    def core(self, storage: Storage) -> Fixpoint:
+        """A fresh :class:`Fixpoint` over ``storage`` with this evaluator's
+        solver, stats, budgets and optimizer hooks."""
+        return Fixpoint(
+            storage,
+            self.solver,
+            self.stats,
+            governor=self.governor,
+            precheck=self.precheck,
+            prune=self.prune,
+            max_iterations=self.max_iterations,
+            provenance=self.provenance if self.record_provenance else None,
+        )
 
     # -- main entry ---------------------------------------------------------------
 
@@ -261,30 +387,23 @@ class FaureEvaluator:
         # A caller-supplied storage lets repeated evaluations over the
         # same database reuse its (lazily built) indexes.
         working = self._storage if self._storage is not None else Storage(self.database)
+        self.fixpoint = fixpoint = self.core(working)
         derived = Database()
-        indexes: Dict[str, _ConditionIndex] = {}
-        tables: Dict[str, CTable] = {}
-
-        def ensure_table(predicate: str, arity: int) -> CTable:
-            table = tables.get(predicate)
-            if table is None:
-                schema = [f"c{i}" for i in range(arity)]
-                table = CTable(predicate, schema)
-                tables[predicate] = table
-                indexes[predicate] = _ConditionIndex()
-                self.database.add_table(table)  # visible to body matching
-            return table
-
-        added_to_db: List[str] = []
         try:
             for predicate in idb:
                 arity = program.arity_of(predicate)
-                if arity is not None and predicate not in tables:
-                    ensure_table(predicate, arity)
-                    added_to_db.append(predicate)
+                if arity is not None:
+                    table = CTable(predicate, [f"c{i}" for i in range(arity)])
+                    self.database.add_table(table)  # visible to body matching
+                    derived.add_table(table)
+                    fixpoint.track(table)
 
             for stratum in stratify(program):
-                self._run_stratum(program, stratum, working, tables, indexes)
+                fixpoint.run([
+                    r
+                    for index, r in enumerate(program)
+                    if r.head.predicate in stratum and index not in self.inactive_rules
+                ])
         except BudgetExceeded:
             # Mid-iteration exhaustion: in degrade mode terminate with a
             # flagged partial result (the finally below restores the EDB
@@ -294,102 +413,10 @@ class FaureEvaluator:
             self.partial = True
             self.stats.partial_results += 1
         finally:
-            for name in added_to_db:
+            for name in derived.names():
                 self.database.drop_table(name)
                 working.invalidate(name)
-
-        for predicate, table in tables.items():
-            derived.add_table(table)
         return derived
-
-    # -- stratum fixpoint -------------------------------------------------------
-
-    def _run_stratum(
-        self,
-        program: Program,
-        stratum: FrozenSet[str],
-        working: Storage,
-        tables: Dict[str, CTable],
-        indexes: Dict[str, _ConditionIndex],
-    ) -> None:
-        rules = [
-            r
-            for index, r in enumerate(program)
-            if r.head.predicate in stratum and index not in self.inactive_rules
-        ]
-
-        def insert(rule: Rule, head_values: Tuple[Term, ...], condition: Condition) -> bool:
-            predicate = rule.head.predicate
-            table = tables[predicate]
-            index = indexes[predicate]
-            if not self._keep(condition):
-                return False
-            start = phase_clock()
-            try:
-                new = index.is_new(
-                    head_values, condition, self.solver,
-                    precheck=self.precheck, stats=self.stats,
-                )
-            finally:
-                self.stats.solver_seconds += phase_clock() - start
-            if not new:
-                return False
-            index.record(head_values, condition, self.solver)
-            working.indexed(predicate).add(list(head_values), condition)
-            self.stats.tuples_generated += 1
-            if self.record_provenance:
-                self.provenance.append(
-                    (predicate, head_values, condition, rule.label)
-                )
-            return True
-
-        # Round 0: fire every rule on the full database.
-        delta: Dict[str, CTable] = {p: CTable(p, tables[p].schema) for p in stratum}
-        for rule in rules:
-            if self.governor is not None:
-                self.governor.check_deadline()
-            for bindings, condition in derive(rule, working):
-                values = build_head(rule, bindings)
-                if insert(rule, values, condition):
-                    delta[rule.head.predicate].add(list(values), condition)
-        self.stats.iterations += 1
-
-        # Semi-naive rounds: re-fire only rules that read this stratum,
-        # once per in-stratum positive literal bound to the delta.
-        iteration = 1
-        while any(len(t) for t in delta.values()):
-            if self.governor is not None:
-                # Cooperative mid-iteration cancellation point: a blown
-                # deadline stops the fixpoint between rounds, never
-                # mid-insert, so tables stay internally consistent.
-                self.governor.check_deadline()
-            if self.max_iterations is not None and iteration > self.max_iterations:
-                raise ProgramError(
-                    f"fixpoint exceeded {self.max_iterations} iterations"
-                )
-            delta_indexed = {
-                name: IndexedTable(table) for name, table in delta.items() if len(table)
-            }
-            next_delta: Dict[str, CTable] = {
-                p: CTable(p, tables[p].schema) for p in stratum
-            }
-            for rule in rules:
-                positives = list(rule.positive_literals())
-                for position, literal in enumerate(positives):
-                    if literal.predicate not in delta_indexed:
-                        continue
-                    for bindings, condition in derive(
-                        rule,
-                        working,
-                        delta_override=delta_indexed,
-                        delta_position=position,
-                    ):
-                        values = build_head(rule, bindings)
-                        if insert(rule, values, condition):
-                            next_delta[rule.head.predicate].add(list(values), condition)
-            delta = next_delta
-            iteration += 1
-            self.stats.iterations += 1
 
 
 def evaluate(

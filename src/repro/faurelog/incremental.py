@@ -25,29 +25,33 @@ path from the touched relation) are rejected.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..analysis.optimize import ConditionPrecheck
 
-from ..ctable.condition import Condition, TRUE, disjoin
+from ..ctable.condition import Condition, TRUE
 from ..ctable.table import CTable, Database
-from ..ctable.terms import Term
-from ..engine.stats import EvalStats
-from ..engine.storage import IndexedTable, Storage
+from ..engine.storage import Storage
 from ..solver.interface import ConditionSolver
-from .ast import Program, ProgramError, Rule
+from .ast import Program, ProgramError
 from .evaluation import FaureEvaluator
-from .stratify import dependency_graph, stratify
-from .valuation import build_head, derive
+from .stratify import dependency_graph
+# Unused here: the perfbench tracer wraps ``incremental.derive`` by name.
+from .valuation import derive  # noqa: F401
 
 __all__ = ["IncrementalEvaluator"]
 
 
 class IncrementalEvaluator:
-    """Evaluate once, then maintain under monotone EDB changes."""
+    """Evaluate once, then maintain under monotone EDB changes.
+
+    Propagation is :class:`~repro.faurelog.evaluation.Fixpoint` — the
+    batch evaluator's own prune / dedup / semi-naive loop — run over the
+    whole program and seeded with the one-fact delta.
+    """
 
     def __init__(
         self,
@@ -60,56 +64,29 @@ class IncrementalEvaluator:
         self.program = program
         self.database = database
         self.solver = solver
-        self.stats = EvalStats()
-        # Static pre-admission impact slicing (``--optimize``): rules are
-        # indexed by the predicates their bodies read, so a delta only
-        # visits its reader rules.  Iteration order (program order per
-        # round) is unchanged — a non-reader rule can never match the
-        # delta, so skipping it is behavior-neutral under any governor.
-        self.precheck = precheck
-        if (
-            solver is not None
-            and solver.governor is not None
-            and solver.governor.injector is not None
-        ):
-            # Call-indexed fault schedules must see the original sequence.
-            self.precheck = None
-        self._readers: Dict[str, List[Rule]] = {}
-        for rule in program:
-            for literal in rule.positive_literals():
-                bucket = self._readers.setdefault(literal.predicate, [])
-                if not bucket or bucket[-1] is not rule:
-                    bucket.append(rule)
+        self._rules = list(program)
         self._graph = dependency_graph(program)
-        self._strata = stratify(program)
-        self._stratum_of: Dict[str, int] = {}
-        for i, stratum in enumerate(self._strata):
-            for pred in stratum:
-                self._stratum_of[pred] = i
-        if restored_idb is not None:
+        evaluator = FaureEvaluator(database, solver=solver, precheck=precheck)
+        self.stats = evaluator.stats
+        if restored_idb is None:
+            self.result = evaluator.evaluate(program)
+            # Adopt the condition index the initial evaluation built.
+            self._fixpoint = evaluator.fixpoint
+        else:
             # Snapshot restore (serve-mode compaction / replica bootstrap):
             # the IDB tables were serialized row-for-row from a state this
-            # same class produced, so adopting them verbatim — and then
-            # rebuilding the indexes and condition bookkeeping below from
-            # their insertion order — reproduces that state byte-exactly
-            # without re-running the initial evaluation.
+            # same class produced, so adopting them verbatim — and
+            # re-recording their rows in insertion order — reproduces that
+            # state byte-exactly without re-running the evaluation.
             self.result = restored_idb
-        else:
-            # initial full evaluation
-            evaluator = FaureEvaluator(database, solver=solver, precheck=self.precheck)
-            self.result = evaluator.evaluate(program)
-            self.stats.add(evaluator.stats)
+            self._fixpoint = evaluator.core(Storage())
+            for table in restored_idb:
+                self._fixpoint.track(table)
         # combined EDB+IDB view used for incremental matching
         self._combined = Database(
             [t for t in database] + [t for t in self.result]
         )
-        self._storage = Storage(self._combined)
-        # per-predicate condition bookkeeping for subsumption dedup
-        self._conditions: Dict[str, Dict[Tuple[Term, ...], List[Condition]]] = {}
-        for table in self.result:
-            per = self._conditions.setdefault(table.name, {})
-            for tup in table:
-                per.setdefault(tup.data_key(), []).append(tup.condition)
+        self._fixpoint.storage = Storage(self._combined)
 
     # -- monotonicity guard ----------------------------------------------
 
@@ -146,15 +123,11 @@ class IncrementalEvaluator:
         """Add an EDB fact; returns the number of new IDB derivations."""
         self.check_insertable(predicate)
         table = self._combined.table(predicate)
-        added = self._storage.indexed(predicate).add(list(values), condition)
-        # mirror into the caller's database so both views stay consistent
-        self.database.table(predicate).add(list(values), condition)
-        if not added:
+        if not self._fixpoint.storage.indexed(predicate).add(list(values), condition):
             return 0
-        new_tuple = table.tuples()[-1]
         delta = CTable(predicate, table.schema)
-        delta.add(new_tuple)
-        return self._propagate({predicate: delta})
+        delta.add(table.tuples()[-1])
+        return self._fixpoint.run(self._rules, {predicate: delta})
 
     def weaken(self, predicate: str, values: Sequence, extra_condition: Condition) -> int:
         """Widen a fact's worlds: add the same data part under a new condition."""
@@ -179,8 +152,6 @@ class IncrementalEvaluator:
             return self.weaken(predicate, values, condition)
         raise ProgramError(f"unknown maintenance operation {kind!r}")
 
-    # -- propagation ------------------------------------------------------------
-
     def impact(self, predicate: str) -> Tuple[str, ...]:
         """IDB predicates a change to ``predicate`` can actually reach.
 
@@ -189,94 +160,6 @@ class IncrementalEvaluator:
         and propagation is a no-op for every derived table.
         """
         return tuple(sorted(self._affected_predicates(predicate)))
-
-    def _is_new(self, predicate: str, key: Tuple[Term, ...], condition: Condition) -> bool:
-        per = self._conditions.setdefault(predicate, {})
-        existing = per.get(key)
-        if existing is None:
-            return True
-        if condition in existing:
-            return False
-        if self.solver is None:
-            return True
-        disjoined = disjoin(existing)
-        if self.precheck is not None:
-            hint = self.precheck.implies_hint(condition, disjoined)
-            if hint is not None:
-                self.stats.extra["static_implies_hits"] = (
-                    self.stats.extra.get("static_implies_hits", 0) + 1
-                )
-                return not hint
-        return not self.solver.implies(condition, disjoined)
-
-    def _delta_satisfiable(self, condition: Condition) -> bool:
-        """Satisfiability for delta pruning, via the static precheck when
-        it can answer (definite verdicts agree with the solver)."""
-        if self.precheck is not None:
-            hint = self.precheck.sat_hint(condition)
-            if hint is not None:
-                self.stats.extra["static_sat_hits"] = (
-                    self.stats.extra.get("static_sat_hits", 0) + 1
-                )
-                return hint
-        assert self.solver is not None
-        return self.solver.is_satisfiable(condition)
-
-    def _record(self, predicate: str, key: Tuple[Term, ...], condition: Condition) -> None:
-        self._conditions.setdefault(predicate, {}).setdefault(key, []).append(condition)
-
-    def _propagate(self, initial_delta: Dict[str, CTable]) -> int:
-        new_count = 0
-        delta = dict(initial_delta)
-        # rounds proceed until no rule derives anything new anywhere
-        while delta:
-            delta_indexed = {
-                name: IndexedTable(table) for name, table in delta.items() if len(table)
-            }
-            if not delta_indexed:
-                break
-            next_delta: Dict[str, CTable] = {}
-            # Reader-index slicing: only rules with a positive body
-            # literal over a delta predicate can fire this round, and
-            # they are visited in program order — exactly the rules the
-            # unsliced loop's membership check would have let through.
-            reader_ids = {
-                id(rule)
-                for name in delta_indexed
-                for rule in self._readers.get(name, ())
-            }
-            for rule in self.program:
-                if id(rule) not in reader_ids:
-                    continue
-                positives = list(rule.positive_literals())
-                for position, literal in enumerate(positives):
-                    if literal.predicate not in delta_indexed:
-                        continue
-                    for bindings, condition in derive(
-                        rule,
-                        self._storage,
-                        delta_override=delta_indexed,
-                        delta_position=position,
-                    ):
-                        if self.solver is not None and not self._delta_satisfiable(
-                            condition
-                        ):
-                            self.stats.tuples_pruned += 1
-                            continue
-                        head = build_head(rule, bindings)
-                        pred = rule.head.predicate
-                        if not self._is_new(pred, head, condition):
-                            continue
-                        self._record(pred, head, condition)
-                        self._storage.indexed(pred).add(list(head), condition)
-                        bucket = next_delta.setdefault(
-                            pred, CTable(pred, self.result.table(pred).schema)
-                        )
-                        bucket.add(list(head), condition)
-                        new_count += 1
-                        self.stats.tuples_generated += 1
-            delta = next_delta
-        return new_count
 
     # -- views -------------------------------------------------------------------
 

@@ -255,9 +255,8 @@ class ServeState:
         )
         precheck = None
         if self.optimize:
-            # Static pre-admission slicing: the optimizer's precheck gives
-            # per-update sat/entailment verdicts without solver calls and
-            # arms the evaluator's reader-index impact slicing.  Replay
+            # The optimizer's precheck gives per-update sat/entailment
+            # verdicts without solver calls.  Replay
             # runs the identical optimized path, so recovered answers stay
             # byte-identical to the uninterrupted run's.
             from ..analysis.optimize import optimize_program

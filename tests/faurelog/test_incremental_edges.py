@@ -15,6 +15,7 @@ from repro.faurelog.ast import ProgramError
 from repro.faurelog.evaluation import evaluate
 from repro.faurelog.incremental import IncrementalEvaluator
 from repro.faurelog.parser import parse_program
+from repro.robustness import Governor
 from repro.solver.domains import BOOL_DOMAIN, DomainMap, Unbounded
 from repro.solver.interface import ConditionSolver
 
@@ -159,3 +160,31 @@ class TestDuplicateIdempotence:
         t_before = len(inc.table("T"))
         assert inc.insert("E", [1, 2], eq(X, 1)) == 0
         assert len(inc.table("T")) == t_before
+
+
+class TestBudgetDegradation:
+    def test_exhausted_budget_keeps_unknown_like_batch(self, solver):
+        """A spent call budget degrades propagation, it does not raise.
+
+        Like the batch fixpoint, a delta tuple whose satisfiability or
+        novelty the solver cannot decide is kept and recorded — sound,
+        merely less simplified — so the worlds match an ungoverned run.
+        """
+        governor = Governor(solver_call_budget=0, on_budget="degrade").start()
+        governed = ConditionSolver(
+            DomainMap({X: BOOL_DOMAIN, Y: BOOL_DOMAIN}, default=Unbounded()),
+            governor=governor,
+        )
+        inc = IncrementalEvaluator(
+            TC, fresh_db((1, 2, eq(X, 1)), (2, 3)), solver=governed
+        )
+        kept_before = inc.stats.unknown_kept
+        assert inc.insert("E", [3, 1], eq(Y, 1)) > 0
+        assert inc.stats.unknown_kept > kept_before
+
+        scratch = evaluate(
+            TC,
+            fresh_db((1, 2, eq(X, 1)), (2, 3), (3, 1, eq(Y, 1))),
+            solver=solver,
+        )
+        assert_world_equivalent(solver, inc.table("T"), scratch.table("T"))

@@ -204,6 +204,25 @@ def test_query_budget_exhaustion_degrades_to_inconclusive(make_state):
     assert state.counters["queries_inconclusive"] == 1
 
 
+def test_update_budget_exhaustion_degrades_without_poisoning_the_wal(make_state):
+    """A spent update budget keeps UNKNOWN tuples instead of failing apply.
+
+    Were the apply to raise, its entry would already be durable: the
+    in-process rebuild and every restart would replay it into the same
+    failure.
+    """
+    budgets = ServeBudgets(solver_call_budget=0)
+    state = make_state(wal_name="budget.wal", budgets=budgets)
+    result = state.submit(insert("F", ("p2", "E", "G"), condition="$up == 1"))
+    assert result["ok"]
+    assert "recovered" not in result
+    assert state.counters["recoveries"] == 0
+    expected = rows_of(state, "R")
+
+    restarted = make_state(wal_name="budget.wal", budgets=budgets)
+    assert rows_of(restarted, "R") == expected
+
+
 def test_program_variable_condition_never_reaches_the_wal(make_state):
     """``n1 == 1`` names a program variable: refused before durability.
 
