@@ -49,9 +49,9 @@ test-replication:
 bench-memo:
 	$(RUN) benchmarks/bench_memo.py
 
-# incremental maintenance vs recompute-from-scratch; the JSON artifact
-# (per-update latency + speedup) is emitted by report.py as
-# BENCH_incremental.json
+# incremental maintenance vs recompute-from-scratch; rewrites the JSON
+# artifact BENCH_incremental.json (per-update latency + speedup), which
+# report.py also emits
 bench-incremental:
 	$(RUN) benchmarks/bench_incremental.py
 

@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis imports ast
     from ..analysis.optimize import ConditionPrecheck
 
 from ..ctable.condition import Condition, FalseCond, TRUE, disjoin
-from ..ctable.table import CTable, Database
+from ..ctable.table import CTable, CTuple, Database
 from ..ctable.terms import Term
 from ..engine.stats import EvalStats, phase_clock
 from ..engine.storage import IndexedTable, Storage
@@ -184,22 +184,30 @@ class Fixpoint:
                 return not hint
         return solver.implies_verdict(condition, disjoined) is not Trivalent.TRUE
 
-    def _insert(self, rule: Rule, values: Tuple[Term, ...], condition: Condition) -> bool:
+    def _insert(
+        self, rule: Rule, values: Tuple[Term, ...], condition: Condition
+    ) -> Optional[CTuple]:
+        """Keep, dedup and store one derivation; returns the stored row.
+
+        The one :class:`CTuple` built here is what the storage table, its
+        indexes and the round's delta table all hold.
+        """
         predicate = rule.head.predicate
         index = self.indexes[predicate]
         # Solver time (Table 4's split) covers the whole keep/dedup step.
         start = phase_clock()
         try:
             if not (self._keep(condition) and self._is_new(index, values, condition)):
-                return False
+                return None
         finally:
             self.stats.solver_seconds += phase_clock() - start
         index.record(values, condition, self.solver)
-        self.storage.indexed(predicate).add(list(values), condition)
+        tup = CTuple(values, condition)
+        self.storage.indexed(predicate).add(tup)
         self.stats.tuples_generated += 1
         if self.provenance is not None:
             self.provenance.append((predicate, values, condition, rule.label))
-        return True
+        return tup
 
     # -- the rounds ------------------------------------------------------------
 
@@ -262,9 +270,9 @@ class Fixpoint:
     ) -> None:
         bucket = delta[rule.head.predicate]
         for bindings, condition in derivations:
-            values = build_head(rule, bindings)
-            if self._insert(rule, values, condition):
-                bucket.add(list(values), condition)
+            tup = self._insert(rule, build_head(rule, bindings), condition)
+            if tup is not None:
+                bucket.add(tup)
 
 
 class FaureEvaluator:

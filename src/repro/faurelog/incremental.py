@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..analysis.optimize import ConditionPrecheck
 
 from ..ctable.condition import Condition, TRUE
-from ..ctable.table import CTable, Database
+from ..ctable.table import CTable, CTuple, Database
 from ..engine.storage import Storage
 from ..solver.interface import ConditionSolver
 from .ast import Program, ProgramError
@@ -122,11 +122,11 @@ class IncrementalEvaluator:
     def insert(self, predicate: str, values: Sequence, condition: Condition = TRUE) -> int:
         """Add an EDB fact; returns the number of new IDB derivations."""
         self.check_insertable(predicate)
-        table = self._combined.table(predicate)
-        if not self._fixpoint.storage.indexed(predicate).add(list(values), condition):
+        tup = CTuple(values, condition)
+        if not self._fixpoint.storage.indexed(predicate).add(tup):
             return 0
-        delta = CTable(predicate, table.schema)
-        delta.add(table.tuples()[-1])
+        delta = CTable(predicate, self._combined.table(predicate).schema)
+        delta.add(tup)
         return self._fixpoint.run(self._rules, {predicate: delta})
 
     def weaken(self, predicate: str, values: Sequence, extra_condition: Condition) -> int:

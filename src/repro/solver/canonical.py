@@ -465,6 +465,35 @@ def _assemble(
     return mk(box(kept))
 
 
+def _identity(cond: Condition) -> Condition:
+    return cond
+
+
+def _walk(cond: Condition, mk) -> Condition:
+    """:func:`canonicalize`'s recursion, ``mk`` hash-consing each node.
+
+    Module-level, not a closure over ``mk``: a closure that recurses
+    through its own cell is a reference cycle that would keep the intern
+    table alive until a full garbage collection.
+    """
+    if isinstance(cond, (TrueCond, FalseCond)):
+        return TRUE if isinstance(cond, TrueCond) else FALSE
+    if isinstance(cond, Comparison):
+        out = _canon_comparison(cond)
+        return mk(out) if isinstance(out, Comparison) else out
+    if isinstance(cond, LinearAtom):
+        out = _canon_linear(cond)
+        return mk(out) if isinstance(out, LinearAtom) else out
+    if isinstance(cond, Not):
+        # Push the negation through (atoms absorb it, ∧/∨ flip).
+        return _walk(cond.child.negate(), mk)
+    if isinstance(cond, And):
+        return _assemble([_walk(c, mk) for c in cond.children], True, mk)
+    if isinstance(cond, Or):
+        return _assemble([_walk(c, mk) for c in cond.children], False, mk)
+    raise TypeError(f"cannot canonicalize {cond!r}")
+
+
 def canonicalize(condition: Condition, intern: Optional[InternTable] = None) -> Condition:
     """The canonical form of ``condition``.
 
@@ -475,26 +504,4 @@ def canonicalize(condition: Condition, intern: Optional[InternTable] = None) -> 
     every node of the result is hash-consed so equal forms share
     identity.
     """
-
-    def mk(cond: Condition) -> Condition:
-        return intern.intern(cond) if intern is not None else cond
-
-    def walk(cond: Condition) -> Condition:
-        if isinstance(cond, (TrueCond, FalseCond)):
-            return TRUE if isinstance(cond, TrueCond) else FALSE
-        if isinstance(cond, Comparison):
-            out = _canon_comparison(cond)
-            return mk(out) if isinstance(out, Comparison) else out
-        if isinstance(cond, LinearAtom):
-            out = _canon_linear(cond)
-            return mk(out) if isinstance(out, LinearAtom) else out
-        if isinstance(cond, Not):
-            # Push the negation through (atoms absorb it, ∧/∨ flip).
-            return walk(cond.child.negate())
-        if isinstance(cond, And):
-            return _assemble([walk(c) for c in cond.children], True, mk)
-        if isinstance(cond, Or):
-            return _assemble([walk(c) for c in cond.children], False, mk)
-        raise TypeError(f"cannot canonicalize {cond!r}")
-
-    return walk(condition)
+    return _walk(condition, intern.intern if intern is not None else _identity)

@@ -1,11 +1,15 @@
 """Stratified fixpoint evaluation over c-tables."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.ctable.condition import FALSE, TRUE, conjoin, disjoin, eq, ne
 from repro.ctable.table import CTable, Database
 from repro.ctable.terms import Constant, CVariable
 from repro.engine.stats import EvalStats
+from repro.engine.storage import IndexedTable
 from repro.faurelog.ast import ProgramError
 from repro.faurelog.evaluation import FaureEvaluator, evaluate
 from repro.faurelog.parser import parse_program
@@ -79,6 +83,40 @@ class TestRecursion:
         out = evaluate(prog, db, solver=solver)
         pairs = {(t.values[0].value, t.values[1].value) for t in out.table("T")}
         assert pairs == {(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4)}
+
+    def test_working_storage_freed_without_a_collection(self, solver, monkeypatch):
+        """Once evaluation returns and its result is dropped, the working
+        indexed tables are gone by reference counting alone: no cycle
+        (such as a self-recursive closure) keeps them waiting for a
+        full garbage collection."""
+        db = Database()
+        e = db.create_table("E", ["a", "b"])
+        for pair in [(1, 2), (2, 3), (3, 1)]:
+            e.add(list(pair))
+        prog = parse_program(
+            """
+            T(a, b) :- E(a, b).
+            T(a, b) :- E(a, c), T(c, b).
+            """
+        )
+        built = []
+        init = IndexedTable.__init__
+
+        def tracking(self, table):
+            init(self, table)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(IndexedTable, "__init__", tracking)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert len(FaureEvaluator(db, solver=solver).evaluate(prog).table("T")) == 9
+            assert built
+            assert [ref for ref in built if ref() is not None] == []
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_cycle_terminates(self, solver):
         db = Database()

@@ -11,13 +11,17 @@ import pytest
 from repro.ctable.condition import TRUE, disjoin, eq
 from repro.ctable.table import Database
 from repro.ctable.terms import CVariable
+from repro.engine.storage import IndexedTable
 from repro.faurelog.ast import ProgramError
 from repro.faurelog.evaluation import evaluate
 from repro.faurelog.incremental import IncrementalEvaluator
 from repro.faurelog.parser import parse_program
+from repro.network.forwarding import compile_forwarding
 from repro.robustness import Governor
 from repro.solver.domains import BOOL_DOMAIN, DomainMap, Unbounded
 from repro.solver.interface import ConditionSolver
+from repro.solver.memo import MemoTable
+from repro.workloads.ribgen import RibConfig, generate_rib
 
 X, Y = CVariable("x"), CVariable("y")
 
@@ -188,3 +192,36 @@ class TestBudgetDegradation:
             solver=solver,
         )
         assert_world_equivalent(solver, inc.table("T"), scratch.table("T"))
+
+
+class TestWorkFollowsTheDelta:
+    def test_announcement_probes_scale_with_what_it_derives(self, monkeypatch):
+        """One extending announcement into a 40-prefix RIB (the serve
+        benchmark's seed RIB): the rows the join's probes hand back stay
+        proportional to the rows derived, not to the size of F."""
+        routes = generate_rib(RibConfig(prefixes=40, as_count=60, seed=20210610))
+        compiled = compile_forwarding(routes)
+        program = parse_program(
+            """
+            R(f, n1, n2) :- F(f, n1, n2).
+            R(f, n1, n2) :- F(f, n1, n3), R(f, n3, n2).
+            """
+        )
+        inc = IncrementalEvaluator(
+            program,
+            compiled.database(),
+            solver=ConditionSolver(compiled.domains, memo=MemoTable()),
+        )
+        handed_back = []
+        candidates = IndexedTable.candidates
+
+        def counting(self, pattern):
+            for tup in candidates(self, pattern):
+                handed_back.append(tup)
+                yield tup
+
+        monkeypatch.setattr(IndexedTable, "candidates", counting)
+        route = routes[0]
+        derived = inc.insert("F", [route.prefix, route.paths[0][-1], "X0"])
+        assert derived > 0
+        assert len(handed_back) <= 5 * derived, (len(handed_back), derived)

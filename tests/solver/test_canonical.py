@@ -10,6 +10,7 @@ The load-bearing claims of :mod:`repro.solver.canonical`:
   governor's size ceiling fires before anything reaches the table.
 """
 
+import gc
 import random
 
 import pytest
@@ -140,6 +141,23 @@ class TestInterning:
         assert table.intern(TRUE) is TRUE
         assert table.intern(FALSE) is FALSE
         assert len(table) == 0
+
+    def test_no_reference_cycles(self):
+        """Canonicalizing leaves no garbage only a full collection frees
+        (a self-recursive closure would keep each intern table alive)."""
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for i in range(100):
+                cond = disjoin(
+                    [conjoin([eq(X, i), ne(Y, 2)]), conjoin([eq(Z, 3), Not(eq(X, i + 1))])]
+                )
+                canonicalize(cond, intern=InternTable())
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_size_ceiling_fires_before_interning(self):
         governor = Governor(max_condition_atoms=2, on_budget="fail")
