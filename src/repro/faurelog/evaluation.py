@@ -44,33 +44,20 @@ __all__ = ["FaureEvaluator", "Fixpoint", "evaluate"]
 class _ConditionIndex:
     """Per-relation map: data part → conditions recorded so far.
 
-    Alongside each recorded (original) condition, the *canonical* form is
-    kept in a set, so a re-derived condition that is semantically equal
-    but syntactically different — reordered conjuncts, un-folded
-    constants — is recognised by a set lookup instead of a solver
-    implication call.  Recorded originals are what end up in the result
-    table, so output stays byte-identical with memoization on or off.
+    Recorded originals are what end up in the result table, so output
+    stays byte-identical with memoization on or off.
     """
 
     def __init__(self) -> None:
         self.by_key: Dict[Tuple[Term, ...], List[Condition]] = {}
-        self.canon_by_key: Dict[Tuple[Term, ...], set] = {}
         # Cache of disjoin(existing) per key, invalidated on record():
         # dedup runs once per derived tuple, so rebuilding the
         # disjunction each time dominates its cost on wide keys.
         self.disjoined: Dict[Tuple[Term, ...], Condition] = {}
 
-    def record(
-        self,
-        key: Tuple[Term, ...],
-        condition: Condition,
-        solver: Optional[ConditionSolver],
-    ) -> None:
+    def record(self, key: Tuple[Term, ...], condition: Condition) -> None:
         self.by_key.setdefault(key, []).append(condition)
         self.disjoined.pop(key, None)
-        canon = self.canon_by_key.setdefault(key, set())
-        if solver is not None and solver.memo is not None:
-            canon.add(solver.canonical(condition))
 
 
 class Fixpoint:
@@ -114,7 +101,7 @@ class Fixpoint:
         """Dedup derivations into ``table``, recording its rows in order."""
         index = self.indexes[table.name] = _ConditionIndex()
         for tup in table:
-            index.record(tup.data_key(), tup.condition, self.solver)
+            index.record(tup.data_key(), tup.condition)
 
     # -- the per-tuple decisions ---------------------------------------------
 
@@ -160,11 +147,6 @@ class Fixpoint:
         solver = self.solver
         if solver is None:
             return True
-        # Canonical membership: equivalent-by-rewriting conditions skip
-        # the implication solver entirely (sound — the solver's verdict
-        # for them is necessarily TRUE).
-        if solver.memo is not None and solver.canonical(condition) in index.canon_by_key[key]:
-            return False
         # Three-valued dedup: only a *definite* "implied by what's
         # recorded" may skip the insert.  UNKNOWN (budget exhausted)
         # treats the tuple as new — recording a redundant condition is
@@ -201,7 +183,7 @@ class Fixpoint:
                 return None
         finally:
             self.stats.solver_seconds += phase_clock() - start
-        index.record(values, condition, self.solver)
+        index.record(values, condition)
         tup = CTuple(values, condition)
         self.storage.indexed(predicate).add(tup)
         self.stats.tuples_generated += 1

@@ -25,9 +25,10 @@ pattern attached to many routes).  This module prunes in three stages:
    through the cross-worker store
    (:mod:`repro.parallel.shared_memo`) and return ``(class index,
    verdict)`` pairs; the parent folds definite verdicts into the shared
-   :class:`~repro.solver.memo.MemoTable` and fans all verdicts back to
-   member tuples **in original table order**, so the output table is
-   byte-identical whatever ``jobs`` was.
+   :class:`~repro.solver.memo.MemoTable` (only those that went past the
+   solver's raw rung, as the serial path does) and fans all verdicts
+   back to member tuples **in original table order**, so the output
+   table is byte-identical whatever ``jobs`` was.
 
 Robustness contracts preserved across the process boundary:
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ctable.condition import Condition, FalseCond, TrueCond
 from ..ctable.table import CTable
@@ -112,7 +113,6 @@ def group_classes(
         cond = tup.condition
         if (
             ceiling is not None
-            and solver.memo is not None
             and not isinstance(cond, (TrueCond, FalseCond))
             and _atom_count(cond) > ceiling
         ):
@@ -167,8 +167,6 @@ def _emulate_over_budget(
     stats = solver.stats
     kind = directive[0] if directive is not None else None
     stats.sat_calls += 1
-    if solver.memo is not None:
-        stats.memo_misses += 1
     governor.events.solver_calls += 1
     governor._calls_used += 1
     if injector is not None:
@@ -268,6 +266,7 @@ def _decide_residual_parallel(
     fold_failures(executor, governor=governor, stats=stats)
 
     verdicts: Dict[int, Verdict] = {}
+    past_raw: Set[int] = set()
     first_error: Optional[Tuple[int, BaseException]] = None
     injected_totals = {"timeout": 0, "failure": 0, "oversize": 0}
     for shard, result in zip(shards, results):
@@ -282,8 +281,10 @@ def _decide_residual_parallel(
         error = result.get("error")
         if error is not None and (first_error is None or error[0] < first_error[0]):
             first_error = error
-        for class_index, name in result["verdicts"]:
+        for class_index, name, memoized in result["verdicts"]:
             verdicts[class_index] = Verdict[name]
+            if memoized:
+                past_raw.add(class_index)
         worker_stats = result["stats"]
         for field in _FOLD_FIELDS:
             setattr(
@@ -315,15 +316,17 @@ def _decide_residual_parallel(
     if first_error is not None:
         raise first_error[1]
 
-    # Fold definite verdicts into the shared memo and per-solver cache;
-    # UNKNOWN is kept-not-cached, exactly as in the serial path.
+    # Fold definite verdicts into the per-solver cache, and into the
+    # shared memo those the serial path would have memoized there: the
+    # ones its raw rung could not decide.  UNKNOWN is kept-not-cached,
+    # exactly as in the serial path.
     for r in range(decided_n):
         class_index, condition = residual[r]
         verdict = verdicts[class_index]
         if verdict is Verdict.UNKNOWN:
             continue
         result = verdict is Verdict.SAT
-        if solver.memo is not None:
+        if solver.memo is not None and class_index in past_raw:
             canon = solver.memo.canonical(condition)
             if not isinstance(canon, (TrueCond, FalseCond)):
                 solver.memo.put(solver.memo.sat_key(canon, solver.domains), result)

@@ -188,11 +188,11 @@ def init_prune_worker(domains, spec: Optional[GovernorSpec], enumeration_limit: 
 def run_prune_shard(shard: List[Tuple[int, Any, Optional[tuple]]]) -> Dict[str, Any]:
     """Decide one shard of ``(global_index, condition, fault directive)``.
 
-    Returns the per-class verdict names plus the worker's solver stats
-    and governor events, all keyed for deterministic parent-side
-    folding.  ``UNKNOWN`` is reported but (by construction) never enters
-    any cache — the worker's memo dies with the process and the parent
-    only folds definite verdicts.
+    Returns per class ``(index, verdict name, went past the raw rung)``
+    plus the worker's solver stats and governor events, all keyed for
+    deterministic parent-side folding.  ``UNKNOWN`` is reported but (by
+    construction) never enters any cache — the worker's memo dies with
+    the process and the parent only folds definite verdicts.
     """
     spec: Optional[GovernorSpec] = _PRUNE_STATE["spec"]
     injector = None
@@ -211,9 +211,15 @@ def run_prune_shard(shard: List[Tuple[int, Any, Optional[tuple]]]) -> Dict[str, 
     )
     verdicts = []
     error = None
+    stats = solver.stats
     for index, condition, _kind in shard:
         try:
-            verdicts.append((index, solver.sat_verdict(condition).name))
+            # A call that reached the canonical rungs counts a memo hit,
+            # miss or collapse; only its verdict enters the parent's memo.
+            before = stats.memo_hits + stats.memo_misses + stats.canonical_collapses
+            name = solver.sat_verdict(condition).name
+            after = stats.memo_hits + stats.memo_misses + stats.canonical_collapses
+            verdicts.append((index, name, after != before))
         except (BudgetExceeded, SolverFailure, ConditionTooLarge) as exc:
             # on_budget="fail": ship the failure home instead of letting
             # the pool surface an arbitrary shard's exception first; the

@@ -11,10 +11,12 @@ Two layers live here:
 * the **domain-generic** one-sided provers :func:`prove_unsat` /
   :func:`prove_valid` / :func:`abstract_sat` — sound for *every* domain
   map, used unchanged by the lint pipeline (F010/F011); and
-* the **domain-aware** semi-decision procedure :func:`fast_sat`, which
-  additionally consults a :class:`~repro.solver.domains.DomainMap` to
-  answer definite SAT/UNSAT on the common-case conditions of the
-  c-table hot path without any search, in the spirit of Delta-net's
+* the **domain-aware** semi-decision procedures :func:`raw_sat` /
+  :func:`fast_implies` (on raw conditions) and :func:`fast_sat` (on
+  canonical forms), which additionally consult a
+  :class:`~repro.solver.domains.DomainMap` to answer definite
+  SAT/UNSAT on the common-case conditions of the c-table hot path
+  without any search, in the spirit of Delta-net's
   range atomization: equality chains collapse under a union-find,
   ``var op const`` literals pool into one interval per equivalence
   class, declared domains contribute their own interval/value atoms,
@@ -48,6 +50,7 @@ from ..ctable.condition import (
     And,
     Comparison,
     Condition,
+    FALSE,
     FalseCond,
     LinearAtom,
     Or,
@@ -65,6 +68,7 @@ __all__ = [
     "prove_valid",
     "fast_sat",
     "fast_implies",
+    "raw_sat",
 ]
 
 #: Maximum case splits (product of disjunct counts) expanded inside one
@@ -735,9 +739,11 @@ def _candidate_classes(
 
     Soundness invariant: any satisfying assignment (over the declared
     domains) gives every class a value from its candidate list, and one
-    value per class (members are equal).  Returns ``None`` when some
-    class's exact candidate set cannot be computed (unbounded domain,
-    over budget, or a shape outside the fragment).
+    value per class (members are equal).  An empty list is therefore a
+    proof of UNSAT (``u = 1 ∧ u = 0``, or a pin outside a member's
+    domain): the result is then just that one empty class.  Returns
+    ``None`` when some class's exact candidate set cannot be computed
+    (unbounded domain, over budget, or a shape outside the fragment).
     """
     uf = _UnionFind()
     seen_vars: Dict[CVariable, None] = {}
@@ -800,7 +806,7 @@ def _candidate_classes(
             value = group.eqs[0]
             for v in info.members:
                 if not _domain_admits(domain_of(v), value):
-                    return None  # pin outside a domain: full path refutes
+                    return [(info.members, [])]  # pin outside a domain
             info.candidates = [value]
             numeric_ok[rep] = isinstance(value, (int, float)) and not isinstance(
                 value, bool
@@ -853,7 +859,7 @@ def _candidate_classes(
         except TypeError:
             return None
         if not candidates:
-            return None
+            return [(members, [])]  # literals leave the class no value
         if numeric and len(candidates) > 1:
             candidates.sort()
         info.candidates = candidates
@@ -920,7 +926,8 @@ def _candidate_space(
     Variables in ``cvars`` not mentioned by any plain conjunct get their
     whole (finite) domain as candidates.  Returns ``None`` when the
     space is not exactly computable or its product exceeds
-    ``_PRODUCT_BUDGET``.
+    ``_PRODUCT_BUDGET``.  A space holding an empty class has no
+    assignment at all: the conjuncts are UNSAT.
     """
     space = _candidate_classes(plain, domains)
     if space is None:
@@ -928,6 +935,8 @@ def _candidate_space(
     product = 1
     covered = set()
     for members, values in space:
+        if not values:
+            return space  # no model: loose variables cannot add one
         covered.update(members)
         product *= len(values)
         if product > _PRODUCT_BUDGET:
@@ -1168,6 +1177,34 @@ def fast_implies(
         witness, antecedent, consequent, domains
     ):
         return False  # the cached countermodel still refutes A ⊨ C
+    return _space_entails(antecedent, consequent, domains)
+
+
+def raw_sat(condition: Condition, domains: DomainMap) -> Optional[bool]:
+    """Semi-decide satisfiability of a raw (uncanonicalized) condition.
+
+    sat(A) = not (A ⊨ ⊥), decided by the same atomized candidate-space
+    check :func:`fast_implies` runs: definite when the condition's plain
+    conjuncts narrow every variable to a small exact space, ``None``
+    otherwise.  This is the solver's first rung, tried before any
+    canonical form is built.
+    """
+    entailed = _space_entails(condition, FALSE, domains)
+    return None if entailed is None else not entailed
+
+
+def _space_entails(
+    antecedent: Condition,
+    consequent: Condition,
+    domains: DomainMap,
+) -> Optional[bool]:
+    """``A ⊨ C`` by exhausting the antecedent's atomized candidate space.
+
+    ``True`` when no assignment in the space satisfies ``A`` and
+    falsifies ``C`` (an empty space means ``A`` has no model); ``False``
+    with the countermodel remembered for :func:`fast_implies`; ``None``
+    when the space is not exactly computable.
+    """
     children = (
         antecedent.children if isinstance(antecedent, And) else (antecedent,)
     )
@@ -1207,7 +1244,9 @@ def fast_implies(
     try:
         singleton = True
         for _, values in space:
-            if len(values) > 1:
+            if len(values) != 1:
+                if not values:
+                    return True  # an empty class: A has no model
                 singleton = False
                 break
         if singleton:

@@ -6,22 +6,32 @@ with unsatisfiable conditions), implication (condition subsumption during
 fixpoint dedup and containment checking), equivalence, model enumeration
 (the possible-worlds oracle), and simplification.
 
-Routing — the decision ladder: the interval/atom semi-decision fast
-path (:func:`repro.solver.atoms.fast_sat`) answers definite SAT/UNSAT
-on the common-case conditions without search; on a miss, conditions
-whose c-variables all carry finite domains of tractable product size go
-through exact enumeration; everything else through the DPLL(T)
-branch-and-check driver.  Verdicts are cached per condition, and
-wall-clock spent inside the solver is accounted in :class:`SolverStats`
-so the benchmark harness can report the paper's "sql time vs Z3 time"
-split.
+Routing — the decision ladder of :meth:`ConditionSolver.sat_verdict`:
+trivial structure, then the per-solver cache, then one governed call is
+charged, then the **raw rung** (:func:`repro.solver.atoms.raw_sat`)
+tries the condition exactly as given — sat(A) = not (A ⊨ ⊥) over its
+atomized candidate space, the same check :func:`~repro.solver.atoms.fast_implies`
+runs for dedup.  Only when that misses is the canonical form interned:
+canonical collapse to TRUE/FALSE, the shared memo (and its store), and
+then :meth:`~ConditionSolver._decide_sat` — the fast path on the
+canonical form (:func:`repro.solver.atoms.fast_sat`), exact enumeration
+when every c-variable has a finite domain of tractable product size,
+and the DPLL(T) branch-and-check driver for everything else.  Raw-rung
+verdicts are cached per solver only; the memo holds verdicts from past
+the raw rung.  Wall-clock spent inside the solver is accounted in
+:class:`SolverStats` so the benchmark harness can report the paper's
+"sql time vs Z3 time" split.
 
 Resource governance: when a
 :class:`~repro.robustness.governor.Governor` is attached, every
 decision flows through it — call budgets, deadlines, condition-size
 ceilings, and injected faults all surface as
 :class:`~repro.robustness.errors.BudgetExceeded` (or siblings) inside a
-call.  The three-valued entry points (:meth:`sat_verdict`,
+call.  A satisfiability decision is charged exactly one
+``begin_solver_call`` — after the size ceiling, before the first rung —
+whichever rung then decides it, so call budgets and fault schedules are
+the same with the memo, the shared store or the fast path on or off.
+The three-valued entry points (:meth:`sat_verdict`,
 :meth:`implies_verdict`, :meth:`valid_verdict`) convert those to
 ``UNKNOWN`` in ``degrade`` mode; the boolean legacy entry points
 (:meth:`is_satisfiable`, :meth:`implies`, ...) demand a definite answer
@@ -50,9 +60,9 @@ from ..ctable.condition import (
 from ..ctable.terms import Constant, CVariable
 from ..clock import phase_clock
 from ..robustness.errors import BudgetExceeded, ConditionTooLarge, SolverFailure
-from ..robustness.governor import Governor
+from ..robustness.governor import Governor, WorkTicket
 from ..robustness.verdict import Trivalent, Verdict
-from .atoms import fast_implies, fast_sat
+from .atoms import fast_implies, fast_sat, raw_sat
 from .domains import DomainMap
 from .dpll import is_satisfiable_dpll
 from .enumerate import Assignment, count_models, find_model, iter_models
@@ -137,12 +147,15 @@ class ConditionSolver:
         scope sharing, or ``None`` (CLI: ``--no-memo``) to disable
         canonicalization and cross-solver sharing entirely.
     fast_path:
-        Enable the interval/atom semi-decision fast path
-        (:func:`repro.solver.atoms.fast_sat`) as the first tier of the
-        decision ladder.  ``False`` (CLI: ``--no-fast-path``) routes
-        every decision straight to enumeration/DPLL; verdicts are
-        byte-identical either way — the fast path only answers when its
-        answer is provably the one the complete backends would give.
+        Enable the interval/atom semi-decision fast path: the raw rung
+        (:func:`repro.solver.atoms.raw_sat`) and its canonical-form
+        tier (:func:`repro.solver.atoms.fast_sat`), plus the raw-pair
+        :func:`~repro.solver.atoms.fast_implies` for entailment.
+        ``False`` (CLI: ``--no-fast-path``) turns all of them off and
+        routes every decision through the memo to enumeration/DPLL;
+        verdicts are byte-identical either way — the fast path only
+        answers when its answer is provably the one the complete
+        backends would give.
     """
 
     def __init__(
@@ -173,6 +186,14 @@ class ConditionSolver:
     def sat_verdict(self, condition: Condition) -> Verdict:
         """Three-valued satisfiability.
 
+        The ladder after the per-solver cache: one governed call is
+        charged (the size ceiling first, then ``begin_solver_call``),
+        the raw rung (:func:`~repro.solver.atoms.raw_sat`) tries the
+        condition as given, and only on its miss is the canonical form
+        interned for the collapse / memo / :meth:`_decide_sat` rungs.
+        A raw-rung verdict goes into the per-solver cache only, never
+        into the memo (or its journal / shared-store observers).
+
         ``UNKNOWN`` is returned (never cached) when the governor's
         budget runs out in ``degrade`` mode; in ``fail`` mode (or from
         the boolean entry points) the failure propagates instead.
@@ -186,16 +207,21 @@ class ConditionSolver:
         if cached is not None:
             self.stats.cache_hits += 1
             return Verdict.from_bool(cached)
+        gov = self.governor
         memo = self.memo
         memo_key = None
         start = phase_clock()
         try:
-            if memo is not None:
-                # The governor's size ceiling applies *before* interning:
-                # an oversized condition is refused without paying for
-                # canonicalization or polluting the intern table.
-                if self.governor is not None:
-                    self.governor.admit(condition)
+            ticket = None
+            if gov is not None:
+                # The size ceiling applies before any work, so an
+                # oversized condition costs no call-budget or fault slot.
+                gov.admit(condition)
+                ticket = gov.begin_solver_call()
+            result = raw_sat(condition, self.domains) if self.fast_path else None
+            if result is not None:
+                self.stats.fast_path_hits += 1
+            elif memo is not None:
                 canon = memo.canonical(condition)
                 if isinstance(canon, (TrueCond, FalseCond)):
                     self.stats.canonical_collapses += 1
@@ -209,16 +235,16 @@ class ConditionSolver:
                         result = hit
                     else:
                         self.stats.memo_misses += 1
-                        result = self._decide_sat(canon)
+                        result = self._decide_sat(canon, ticket)
             else:
-                result = self._decide_sat(condition)
+                result = self._decide_sat(condition, ticket)
         except _GOVERNED_FAILURES as exc:
             if isinstance(exc, BudgetExceeded):
                 self.stats.budget_hits += 1
-            if self.governor is None or not self.governor.degrade:
+            if gov is None or not gov.degrade:
                 raise
             self.stats.unknown_verdicts += 1
-            self.governor.events.unknown_verdicts += 1
+            gov.events.unknown_verdicts += 1
             # UNKNOWN is never cached — neither here nor in the memo.
             return Verdict.UNKNOWN
         finally:
@@ -239,15 +265,16 @@ class ConditionSolver:
         return self.sat_verdict(condition).as_bool()
 
     def sat_verdict_cached(self, condition: Condition) -> Optional[Verdict]:
-        """The cheap prefix of :meth:`sat_verdict`: no backend work.
+        """Answer from caches alone: no decision rung, no governed charge.
 
         Answers from trivial structure, the per-solver cache, canonical
         collapse, or a memo *peek* — and returns ``None`` when only a
-        real decision procedure could answer.  Used by the batched
-        pruner to split condition classes into resolved and residual.
+        decision rung (raw, fast path or backend) could answer.  Used
+        by the batched pruner to split condition classes into resolved
+        and residual before it charges one call per residual class.
 
-        Accounting: a resolved probe counts exactly what
-        :meth:`sat_verdict` would have counted on the same hit path; an
+        Accounting: a resolved probe counts what :meth:`sat_verdict`
+        counts on the same hit path, minus the governed charge; an
         unresolved probe counts nothing at all (the later real
         :meth:`sat_verdict` call does its own full accounting).
         """
@@ -289,15 +316,19 @@ class ConditionSolver:
             return Verdict.from_bool(hit)
         return None
 
-    def _decide_sat(self, condition: Condition) -> bool:
-        """The decision ladder, with governed escalation.
+    def _decide_sat(self, condition: Condition, ticket: Optional[WorkTicket]) -> bool:
+        """The rungs past the raw rung and the memo, with governed escalation.
 
-        Tier 0 — the interval/atom semi-decision fast path: equality
-        chains, pooled intervals, and unit-coefficient linear atoms
-        settle the common case without search (definite verdicts only;
-        a miss costs one linear scan).  It runs *after*
-        ``begin_solver_call`` so call budgets and injected-fault
-        schedules are identical with the fast path on or off.
+        ``ticket`` is the one :meth:`Governor.begin_solver_call` charge
+        :meth:`sat_verdict` made before its first rung (``None`` when
+        ungoverned), so the charged call count does not depend on which
+        rung decides.
+
+        Tier 0 — the interval/atom semi-decision fast path on the
+        canonical form (or the raw condition with memoization off):
+        equality chains, pooled intervals, disjunction case splits and
+        unit-coefficient linear atoms settle what the raw rung's
+        candidate space could not (definite verdicts only).
         Tier 1 — exact enumeration when every domain is finite and the
         product is tractable, under half the per-call step budget.
         Tier 2 — on a tier-1 step-budget exhaustion, *fall over* to
@@ -305,8 +336,6 @@ class ConditionSolver:
         pruning often decides instances enumeration cannot).  A failure
         in the final stage propagates to :meth:`sat_verdict`.
         """
-        gov = self.governor
-        ticket = gov.begin_solver_call(condition) if gov is not None else None
         if self.fast_path:
             # The memoized path hands us the canonical form already.
             verdict = fast_sat(
@@ -329,7 +358,7 @@ class ConditionSolver:
                 if exc.resource != "steps":
                     raise  # deadline/injected: no point retrying in-call
                 self.stats.fallbacks += 1
-                gov.events.fallbacks += 1
+                self.governor.events.fallbacks += 1
                 self.stats.dpll_used += 1
                 return is_satisfiable_dpll(
                     condition, self.domains, ticker=ticket.sub(1.0)

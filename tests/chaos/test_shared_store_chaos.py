@@ -174,7 +174,9 @@ class TestChaosWithStoreActive:
 
     def run_prune(self, q8_table, jobs=1, executor=None):
         table, domains = q8_table
-        solver = ConditionSolver(domains, memo=MemoTable())
+        # fast_path=False: raw-rung verdicts never reach the memo, so
+        # without it no verdict would be written to the store.
+        solver = ConditionSolver(domains, memo=MemoTable(), fast_path=False)
         stats = EvalStats()
         out = prune_batched(table, solver, stats, jobs=jobs, executor=executor)
         return out, stats, solver
@@ -198,7 +200,11 @@ class TestChaosWithStoreActive:
 
         def run(jobs=1, executor=None):
             routes, compiled = rib
-            solver = ConditionSolver(compiled.domains, memo=MemoTable())
+            # fast_path=False: raw-rung verdicts never reach the memo,
+            # so without it the store would be neither written nor read.
+            solver = ConditionSolver(
+                compiled.domains, memo=MemoTable(), fast_path=False
+            )
             analyzer = ReachabilityAnalyzer(
                 compiled.database(), solver, per_flow=True
             )

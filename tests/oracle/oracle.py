@@ -118,9 +118,11 @@ def _build_cases() -> List[OracleCase]:
 CASES: List[OracleCase] = _build_cases()
 
 
-def run_faure(case: OracleCase, memo, governor=None) -> Database:
+def run_faure(case: OracleCase, memo, governor=None, fast_path=True) -> Database:
     """Evaluate the case's program with the given memo/governor setup."""
-    solver = ConditionSolver(case.domains, governor=governor, memo=memo)
+    solver = ConditionSolver(
+        case.domains, governor=governor, memo=memo, fast_path=fast_path
+    )
     evaluator = FaureEvaluator(case.database, solver=solver, governor=governor)
     return evaluator.evaluate(case.program)
 

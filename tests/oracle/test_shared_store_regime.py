@@ -25,14 +25,16 @@ def case(request):
 
 def test_store_served_run_matches_every_world(case):
     """Round 1 computes and seeds the log; round 2 answers from it."""
+    # fast_path=False in both rounds: raw-rung verdicts are never
+    # memoized, so with it on the log would be neither seeded nor read.
     warm = MemoTable()
-    baseline = run_faure(case, memo=warm)
+    baseline = run_faure(case, memo=warm, fast_path=False)
     session = SharedMemoSession(warm)
     try:
         assert session.store.writes > 0
         served_memo = MemoTable()
         served_memo.backing = session.store.lookup_key
-        served = run_faure(case, memo=served_memo)
+        served = run_faure(case, memo=served_memo, fast_path=False)
         assert session.store.hits > 0, "round 2 never consulted the log"
         assert render_result(served, case.outputs) == render_result(
             baseline, case.outputs
@@ -62,7 +64,8 @@ def test_governed_run_writes_but_never_reads(case):
         governor = Governor(on_budget="degrade", injector=injector).start()
         assert not reads_allowed(governor)
         session.store.reads = False  # what the parallel plumbing does
-        result = run_faure(case, memo=memo, governor=governor)
+        # fast_path=False: raw-rung verdicts never reach the log.
+        result = run_faure(case, memo=memo, governor=governor, fast_path=False)
         assert_matches_worlds(case, result)
         assert session.store.hits == 0
         assert session.store.writes > 0, "no definite verdict reached the log"

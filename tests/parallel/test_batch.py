@@ -77,6 +77,25 @@ class TestGroupClasses:
         assert len(classes) == 1
         assert per_tuple == [1]
 
+    def test_oversized_conditions_go_per_tuple_without_memo(self):
+        # The size ceiling refuses a condition before the solver charges
+        # a call, memo or not, so an oversized row must not take a
+        # residual (call-indexed fault) slot under --jobs.
+        x, y, z = (CVariable(n) for n in "xyz")
+        big = And([
+            Comparison(x, "=", Constant(1)),
+            Comparison(y, "=", Constant(1)),
+            Comparison(z, "=", Constant(1)),
+        ])
+        table = CTable("T", ("a",))
+        table.add([Constant(1)], Comparison(x, "=", Constant(1)))
+        table.add([Constant(2)], big)
+        governor = Governor(max_condition_atoms=2, on_budget="degrade").start()
+        solver = ConditionSolver(boolean_domains("xyz"), governor=governor, memo=None)
+        classes, per_tuple = group_classes(table, solver)
+        assert len(classes) == 1
+        assert per_tuple == [1]
+
 
 class TestSerialBatchedPrune:
     def test_identical_to_per_tuple_prune(self):
@@ -124,12 +143,14 @@ class TestParallelBatchedPrune:
     def test_worker_verdicts_fold_into_parent_memo(self):
         table, domains = repeated_condition_table()
         memo = MemoTable()
-        solver = ConditionSolver(domains, memo=memo)
+        # fast_path=False: verdicts the raw rung decides are not
+        # memoized (serially or folded back), so pin the memo route.
+        solver = ConditionSolver(domains, memo=memo, fast_path=False)
         prune_batched(table, solver, EvalStats(), jobs=3)
         assert len(memo) > 0
         # A fresh solver over the folded memo answers everything from
         # the memo: zero new backend decisions.
-        fresh = ConditionSolver(domains, memo=memo)
+        fresh = ConditionSolver(domains, memo=memo, fast_path=False)
         prune_batched(table, fresh, EvalStats(), jobs=1)
         assert fresh.stats.enumeration_used == 0
         assert fresh.stats.dpll_used == 0

@@ -235,7 +235,9 @@ class TestSession:
     def test_session_seeds_store_from_memo(self, tmp_path):
         table, domains = repeated_condition_table()
         memo = MemoTable()
-        solver = ConditionSolver(domains, memo=memo)
+        # fast_path=False: raw-rung verdicts are never memoized, and
+        # this test needs memo entries to seed the store from.
+        solver = ConditionSolver(domains, memo=memo, fast_path=False)
         for tup in table:
             solver.is_satisfiable(tup.condition)
         assert len(memo._entries) > 0

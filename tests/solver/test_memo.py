@@ -17,22 +17,26 @@ DOMAINS = DomainMap({X: IntRange(0, 9), Y: IntRange(0, 9)})
 
 class TestSharing:
     def test_cross_instance_sat_sharing(self):
+        # fast_path=False: the raw rung would decide this condition
+        # before the memo is consulted; this test pins the memo route.
         memo = MemoTable()
-        first = ConditionSolver(DOMAINS, memo=memo)
+        first = ConditionSolver(DOMAINS, memo=memo, fast_path=False)
         assert first.sat_verdict(eq(X, 5)) is Verdict.SAT
         paid = first.stats.decisions
         assert paid == 1
 
-        second = ConditionSolver(DOMAINS, memo=memo)
+        second = ConditionSolver(DOMAINS, memo=memo, fast_path=False)
         assert second.sat_verdict(eq(X, 5)) is Verdict.SAT
         assert second.stats.decisions == 0
         assert second.stats.memo_hits == 1
 
     def test_semantically_equal_conditions_share(self):
+        # fast_path=False: the raw rung would decide this condition
+        # before the memo is consulted; this test pins the memo route.
         memo = MemoTable()
-        first = ConditionSolver(DOMAINS, memo=memo)
+        first = ConditionSolver(DOMAINS, memo=memo, fast_path=False)
         first.sat_verdict(conjoin([eq(X, 5), Comparison(X, ">=", Constant(3))]))
-        second = ConditionSolver(DOMAINS, memo=memo)
+        second = ConditionSolver(DOMAINS, memo=memo, fast_path=False)
         assert second.sat_verdict(eq(X, 5)) is Verdict.SAT
         assert second.stats.decisions == 0
 
@@ -92,12 +96,14 @@ class TestKeying:
         assert ints.stats.memo_hits == 0
 
     def test_irrelevant_declarations_do_not_split_keys(self):
+        # fast_path=False: the raw rung would decide this condition
+        # before the memo is consulted; this test pins the memo route.
         memo = MemoTable()
-        a = ConditionSolver(DOMAINS, memo=memo)
+        a = ConditionSolver(DOMAINS, memo=memo, fast_path=False)
         assert a.sat_verdict(eq(X, 5)) is Verdict.SAT
         extended = DOMAINS.copy()
         extended.declare(CVariable("unrelated"), IntRange(0, 1))
-        b = ConditionSolver(extended, memo=memo)
+        b = ConditionSolver(extended, memo=memo, fast_path=False)
         assert b.sat_verdict(eq(X, 5)) is Verdict.SAT
         assert b.stats.memo_hits == 1
 
@@ -133,23 +139,29 @@ class TestContracts:
         assert solver.stats.memo_misses == 0
 
     def test_canonical_collapse_counts_no_decision(self):
+        # fast_path=False: the raw rung would refute this contradiction
+        # (an empty candidate class) before canonicalization.
         memo = MemoTable()
-        solver = ConditionSolver(DOMAINS, memo=memo)
+        solver = ConditionSolver(DOMAINS, memo=memo, fast_path=False)
         assert solver.sat_verdict(conjoin([eq(X, 1), eq(X, 2)])) is Verdict.UNSAT
         assert solver.stats.canonical_collapses == 1
         assert solver.stats.decisions == 0
 
     def test_lru_eviction_bounded(self):
+        # fast_path=False: the raw rung would decide this condition
+        # before the memo is consulted; this test pins the memo route.
         memo = MemoTable(max_entries=4)
-        solver = ConditionSolver(DOMAINS, memo=memo)
+        solver = ConditionSolver(DOMAINS, memo=memo, fast_path=False)
         for i in range(10):
             solver.sat_verdict(eq(X, i))
         assert len(memo) <= 4
         assert memo.evictions >= 6
 
     def test_counters_snapshot(self):
+        # fast_path=False: the raw rung would decide this condition
+        # before the memo is consulted; this test pins the memo route.
         memo = MemoTable()
-        solver = ConditionSolver(DOMAINS, memo=memo)
+        solver = ConditionSolver(DOMAINS, memo=memo, fast_path=False)
         solver.sat_verdict(eq(X, 5))
         got = memo.counters()
         assert got["memo_entries"] == 1
@@ -174,8 +186,10 @@ class TestSurfacing:
         from repro.ctable.table import CTable
         from repro.engine.pipeline import solver_prune
 
+        # fast_path=False: the raw rung would decide the warm-up call
+        # without memoizing it; the prune below must find it in the memo.
         memo = MemoTable()
-        warm = ConditionSolver(DOMAINS, memo=memo)
+        warm = ConditionSolver(DOMAINS, memo=memo, fast_path=False)
         warm.sat_verdict(ne(X, 3))
         table = CTable("T", ["a"])
         table.add([1], ne(X, 3))
