@@ -14,11 +14,18 @@ the paper's third Table 2 tuple.  Satisfiability, implication and
 simplification live in :mod:`repro.solver`; this module only provides
 structure: construction, substitution, free variables, evaluation under a
 total assignment, and normalization helpers.
+
+Conjunctions of boolean pins (``u = 0`` / ``u = 1``) with at most one
+unit-coefficient bound ``Σ u op k`` — every RIB condition — also carry
+a *cube* (:func:`cube_of`), which :func:`conjoin` combines by OR and the
+solver's bit rung decides; like ``_hash`` it is a process-local cache,
+never pickled, journaled or used as a memo key (docs/SEMANTICS.md §5).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Tuple
+import threading
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .terms import Constant, CVariable, SlotPickleMixin, Term, Variable, as_term
 
@@ -85,6 +92,71 @@ def _apply_op(op: Op, a, b) -> bool:
     if op == ">=":
         return a >= b
     raise ValueError(f"unknown operator {op!r}")
+
+
+#: Process-local slot per c-variable (assigned on first encoding) and the
+#: reverse list.  Cube masks are relative to their lowest slot, and a
+#: conjunction spanning more than ``_CUBE_SPAN`` slots stays a plain tree,
+#: so fresh variables (a daemon's ``__g<seq>`` guards) never widen cubes.
+_SLOTS: Dict[CVariable, int] = {}
+SLOT_VARS: List[CVariable] = []
+_SLOT_LOCK = threading.Lock()  # serve threads encode concurrently
+_CUBE_SPAN = 256
+
+
+def _slot(var: CVariable) -> int:
+    slot = _SLOTS.get(var)
+    if slot is None:
+        with _SLOT_LOCK:
+            slot = _SLOTS.get(var)
+            if slot is None:
+                slot = len(SLOT_VARS)
+                SLOT_VARS.append(var)  # before publishing the slot
+                _SLOTS[var] = slot
+    return slot
+
+
+def cube_of(condition: "Condition"):
+    """The condition's cube, or ``None`` when it lies outside the fragment.
+
+    A cube is ``(lo, zeros, ones, card, card_mask)``: bit ``i`` of
+    ``zeros`` / ``ones`` means the conjunction pins the c-variable in
+    slot ``lo + i`` to 0 / 1 (both bits: the ``u = 0 ∧ u = 1`` conflict,
+    kept, never folded), ``card`` is the one cardinality
+    :class:`LinearAtom` (or ``None``) and ``card_mask`` its variables.
+    """
+    try:
+        cube = condition._cube
+    except AttributeError:
+        return None  # TRUE / FALSE / Or / Not
+    if cube is None:
+        cube = condition._encode()
+        object.__setattr__(condition, "_cube", cube)
+    return cube or None
+
+
+def _join(cubes: Sequence[tuple]) -> object:
+    """The cube of a conjunction of cubes (``False`` past the span cap)."""
+    lo, zeros, ones, card, card_mask = cubes[0]
+    for i in range(1, len(cubes)):
+        at, z, o, c, m = cubes[i]
+        if at < lo:  # rebase the accumulated masks onto the lower slot
+            shift = lo - at
+            zeros, ones, card_mask = zeros << shift | z, ones << shift | o, card_mask << shift
+            lo = at
+        else:
+            shift = at - lo
+            zeros |= z << shift
+            ones |= o << shift
+            m <<= shift
+        if c is not None:
+            if card is None:
+                card, card_mask = c, m
+            elif c != card:
+                return False  # a second cardinality bound
+    if (zeros | ones | card_mask).bit_length() > _CUBE_SPAN:
+        return False
+    return (lo, zeros, ones, card, card_mask)
 
 
 class Condition(SlotPickleMixin):
@@ -232,7 +304,7 @@ class Comparison(Condition):
     contain variables (the valuation removes them).
     """
 
-    __slots__ = ("lhs", "op", "rhs", "_hash", "_cvars")
+    __slots__ = ("lhs", "op", "rhs", "_hash", "_cvars", "_cube")
 
     def __init__(self, lhs, op: Op, rhs):
         if op not in _OPS:
@@ -254,6 +326,7 @@ class Comparison(Condition):
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_cvars", None)
+        object.__setattr__(self, "_cube", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("Comparison is immutable")
@@ -323,6 +396,20 @@ class Comparison(Condition):
     def atoms(self):
         yield self
 
+    def _encode(self):
+        # Only ``var = 0`` / ``var = 1`` over int payloads: ``u = True``
+        # or ``u = 1.0`` compare equal but print differently.
+        rhs = self.rhs
+        if (
+            self.op == "="
+            and isinstance(self.lhs, CVariable)
+            and isinstance(rhs, Constant)
+            and type(rhs.value) is int
+            and rhs.value in (0, 1)
+        ):
+            return (_slot(self.lhs), 1 - rhs.value, rhs.value, None, 0)
+        return False
+
     def negate(self) -> Condition:
         return Comparison(self.lhs, NEGATED_OP[self.op], self.rhs)
 
@@ -359,7 +446,7 @@ class LinearAtom(Condition):
     must range over numeric domains.
     """
 
-    __slots__ = ("coeffs", "op", "bound", "_hash", "_cvars")
+    __slots__ = ("coeffs", "op", "bound", "_hash", "_cvars", "_cube")
 
     def __init__(self, coeffs, op: Op, bound):
         if op not in _OPS:
@@ -384,6 +471,7 @@ class LinearAtom(Condition):
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_cvars", None)
+        object.__setattr__(self, "_cube", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("LinearAtom is immutable")
@@ -427,6 +515,20 @@ class LinearAtom(Condition):
     def atoms(self):
         yield self
 
+    def _encode(self):
+        # A cardinality bound: unit coefficients (over the boolean
+        # variables the solver's bit rung checks the domains of).
+        if not self.coeffs or any(c != 1 for _, c in self.coeffs):
+            return False
+        slots = [_slot(v) for v, _ in self.coeffs]
+        lo = min(slots)
+        mask = 0
+        for slot in slots:
+            mask |= 1 << (slot - lo)
+        if mask.bit_length() > _CUBE_SPAN:
+            return False
+        return (lo, 0, 0, self, mask)
+
     def negate(self) -> Condition:
         return LinearAtom(dict(self.coeffs), NEGATED_OP[self.op], self.bound)
 
@@ -455,31 +557,30 @@ class LinearAtom(Condition):
         return f"{' + '.join(parts) or '0'} {self.op} {self.bound}"
 
 
+def _flatten(kind: type, children: Sequence[Condition]) -> Tuple[Condition, ...]:
+    """Inline same-kind children, then dedup structurally, keeping order."""
+    flat = []
+    for child in children:
+        if not isinstance(child, Condition):
+            raise TypeError(f"non-condition child {child!r}")
+        if type(child) is kind:
+            flat.extend(child.children)
+        else:
+            flat.append(child)
+    seen: set = set()
+    uniq = []
+    for child in flat:
+        if child not in seen:
+            seen.add(child)
+            uniq.append(child)
+    return tuple(uniq)
+
+
 class _NaryCondition(Condition):
     """Shared machinery of :class:`And` / :class:`Or`."""
 
-    __slots__ = ("children", "_hash", "_cvars")
+    __slots__ = ("_hash", "_cvars")
     _symbol = "?"
-
-    def __init__(self, children: Sequence[Condition]):
-        flat = []
-        for child in children:
-            if not isinstance(child, Condition):
-                raise TypeError(f"non-condition child {child!r}")
-            if type(child) is type(self):
-                flat.extend(child.children)
-            else:
-                flat.append(child)
-        # Structural dedup, preserving order.
-        seen: set = set()
-        uniq = []
-        for child in flat:
-            if child not in seen:
-                seen.add(child)
-                uniq.append(child)
-        object.__setattr__(self, "children", tuple(uniq))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_cvars", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("condition nodes are immutable")
@@ -515,10 +616,70 @@ class _NaryCondition(Condition):
 
 
 class And(_NaryCondition):
-    """Conjunction.  Prefer the :func:`conjoin` smart constructor."""
+    """Conjunction.  Prefer the :func:`conjoin` smart constructor.
 
-    __slots__ = ()
+    A conjunction of cubes (see :func:`cube_of`) built by :func:`conjoin`
+    keeps its operands and renders the flat conjunct tuple only when
+    something reads :attr:`children` — printing, serialization, the
+    general solver ladder — in exactly the order an eager build gives.
+    Its hash and equality are those of its cube, so the same conjunct
+    set compares equal however it was built or ordered; and they agree
+    for a conjunction held lazily and its twin built from children.
+    """
+
+    __slots__ = ("_kids", "_parts", "_cube")
     _symbol = "∧"
+
+    def __init__(self, children: Sequence[Condition], _cube=None):
+        # With a cube (from conjoin) the operands stay unflattened.
+        lazy = _cube is not None
+        object.__setattr__(self, "_kids", None if lazy else _flatten(And, children))
+        object.__setattr__(self, "_parts", tuple(children) if lazy else None)
+        object.__setattr__(self, "_cube", _cube)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_cvars", None)
+
+    @property
+    def children(self) -> Tuple[Condition, ...]:
+        kids = self._kids
+        if kids is None:
+            parts = self._parts
+            if parts is None:  # another thread rendered it meanwhile
+                return self._kids
+            kids = _flatten(And, parts)
+            object.__setattr__(self, "_kids", kids)
+            object.__setattr__(self, "_parts", None)
+        return kids
+
+    def _encode(self):
+        cubes = [cube_of(child) for child in self.children]
+        return _join(cubes) if cubes and None not in cubes else False
+
+    def __getstate__(self):
+        return {"children": self.children}
+
+    def __setstate__(self, state) -> None:
+        for name in ("_parts", "_cube", "_hash", "_cvars"):
+            object.__setattr__(self, name, None)
+        object.__setattr__(self, "_kids", state["children"])
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not And:
+            return False
+        cube = cube_of(self)
+        if cube is not None:
+            return cube == cube_of(other)
+        return cube_of(other) is None and self.children == other.children
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            cube = cube_of(self)
+            h = hash(cube) if cube is not None else hash(("And", self.children))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def substitute(self, mapping) -> Condition:
         return conjoin([c.substitute(mapping) for c in self.children])
@@ -536,8 +697,13 @@ class And(_NaryCondition):
 class Or(_NaryCondition):
     """Disjunction.  Prefer the :func:`disjoin` smart constructor."""
 
-    __slots__ = ()
+    __slots__ = ("children",)
     _symbol = "∨"
+
+    def __init__(self, children: Sequence[Condition]):
+        object.__setattr__(self, "children", _flatten(Or, children))
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_cvars", None)
 
     def substitute(self, mapping) -> Condition:
         return disjoin([c.substitute(mapping) for c in self.children])
@@ -600,14 +766,37 @@ class Not(Condition):
 
 
 def conjoin(conditions: Iterable[Condition]) -> Condition:
-    """Smart conjunction: flattens, dedups, short-circuits TRUE/FALSE."""
+    """Smart conjunction: flattens, dedups, short-circuits TRUE/FALSE.
+
+    Cube operands combine by OR into a lazy :class:`And`; a conflicting
+    cube (``u = 0 ∧ u = 1``) stays a conjunction — only the solver
+    decides it is unsatisfiable.
+    """
     parts = []
+    cubes = []
     for cond in conditions:
         if isinstance(cond, FalseCond):
             return FALSE
         if isinstance(cond, TrueCond):
             continue
         parts.append(cond)
+        if cubes is not None:
+            cube = getattr(cond, "_cube", False)
+            if cube is None:
+                cube = cube_of(cond)
+            if cube:
+                cubes.append(cube)
+            else:
+                cubes = None
+    if not parts:
+        return TRUE
+    if len(parts) == 1:
+        return parts[0]
+    if cubes is not None:
+        cube = _join(cubes)
+        # One distinct conjunct renders as itself, not as an And.
+        if cube and cube[1].bit_count() + cube[2].bit_count() + (cube[3] is not None) > 1:
+            return And(parts, cube)
     merged = And(parts)
     if not merged.children:
         return TRUE

@@ -24,7 +24,7 @@ Schema = Tuple[str, ...]
 class CTuple(SlotPickleMixin):
     """One conditional tuple: a row of c-domain terms plus a condition."""
 
-    __slots__ = ("values", "condition")
+    __slots__ = ("values", "condition", "_hash")
 
     def __init__(self, values: Sequence, condition: Condition = TRUE):
         vals = tuple(as_term(v) for v in values)
@@ -35,6 +35,7 @@ class CTuple(SlotPickleMixin):
             raise TypeError(f"condition must be a Condition, got {condition!r}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("CTuple is immutable")
@@ -80,7 +81,13 @@ class CTuple(SlotPickleMixin):
         )
 
     def __hash__(self) -> int:
-        return hash((self.values, self.condition))
+        # Cached: one stored row is hashed by its storage table and by
+        # the round's delta table (pickling skips the slot).
+        h = self._hash
+        if h is None:
+            h = hash((self.values, self.condition))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"CTuple({list(self.values)!r}, {self.condition!r})"
@@ -133,9 +140,11 @@ class CTable:
             raise ValueError(
                 f"arity mismatch for {self.name}: expected {self.arity}, got {tup.arity}"
             )
-        if tup in self._seen:
+        seen = self._seen
+        before = len(seen)
+        seen.add(tup)  # one probe: the set grows only for a new tuple
+        if len(seen) == before:
             return False
-        self._seen.add(tup)
         self._tuples.append(tup)
         return True
 

@@ -51,11 +51,12 @@ class SlotPickleMixin:
         state = {}
         for cls in type(self).__mro__:
             for name in getattr(cls, "__slots__", ()):
-                # Cached hash values are process-local (string hashing is
-                # randomized per interpreter) and must never cross a
-                # process boundary; cached cvariable sets just bloat the
-                # payload.  The receiver recomputes both lazily.
-                if name in ("_hash", "_cvars"):
+                # Cached hash values and condition cubes are process-local
+                # (string hashing is randomized per interpreter, slot
+                # numbers are assigned per process) and must never cross
+                # a process boundary; cached cvariable sets just bloat
+                # the payload.  The receiver recomputes all three lazily.
+                if name in ("_hash", "_cvars", "_cube"):
                     continue
                 state[name] = getattr(self, name)
         return state

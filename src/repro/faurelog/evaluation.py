@@ -20,7 +20,7 @@ same split Table 4 reports.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis imports ast)
     from ..analysis.optimize import ConditionPrecheck
@@ -45,19 +45,32 @@ class _ConditionIndex:
     """Per-relation map: data part → conditions recorded so far.
 
     Recorded originals are what end up in the result table, so output
-    stays byte-identical with memoization on or off.
+    stays byte-identical with memoization on or off.  The ordered list
+    feeds :func:`disjoin` (and so the dedup query); a set beside it
+    answers "already recorded" without a scan, and ``covered`` holds the
+    keys recorded under ``TRUE``.
     """
 
     def __init__(self) -> None:
         self.by_key: Dict[Tuple[Term, ...], List[Condition]] = {}
+        self.members: Dict[Tuple[Term, ...], Set[Condition]] = {}
+        self.covered: Set[Tuple[Term, ...]] = set()
         # Cache of disjoin(existing) per key, invalidated on record():
         # dedup runs once per derived tuple, so rebuilding the
         # disjunction each time dominates its cost on wide keys.
         self.disjoined: Dict[Tuple[Term, ...], Condition] = {}
 
     def record(self, key: Tuple[Term, ...], condition: Condition) -> None:
-        self.by_key.setdefault(key, []).append(condition)
-        self.disjoined.pop(key, None)
+        existing = self.by_key.get(key)
+        if existing is None:
+            self.by_key[key] = [condition]
+            self.members[key] = {condition}
+        else:
+            existing.append(condition)
+            self.members[key].add(condition)
+            self.disjoined.pop(key, None)
+        if condition is TRUE:
+            self.covered.add(key)
 
 
 class Fixpoint:
@@ -140,9 +153,7 @@ class Fixpoint:
         existing = index.by_key.get(key)
         if existing is None:
             return True
-        if condition in existing:
-            return False
-        if any(e is TRUE for e in existing):
+        if key in index.covered or condition in index.members[key]:
             return False
         solver = self.solver
         if solver is None:

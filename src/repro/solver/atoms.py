@@ -19,12 +19,16 @@ Two layers live here:
   without any search, in the spirit of Delta-net's
   range atomization: equality chains collapse under a union-find,
   ``var op const`` literals pool into one interval per equivalence
-  class, declared domains contribute their own interval/value atoms,
-  and unit-coefficient linear atoms (the §4 failure-pattern encodings
-  ``Σ x̄ᵢ op k``) reduce to integer interval arithmetic over the
-  achievable-sum range.
+  class, and declared domains contribute their own interval/value atoms.
 
-Soundness contract of :func:`fast_sat` (see docs/PERFORMANCE.md):
+All three try the **bit rung** first: a cube (boolean pins plus at most
+one cardinality bound ``Σ x̄ᵢ op k``, see
+:func:`repro.ctable.condition.cube_of`) over variables whose domain is
+exactly {0, 1} is decided by int operations, completely — pins conflict
+or they do not, and the sum the pins leave free is a contiguous range.
+
+Soundness contract of :func:`fast_sat` on the other shapes (see
+docs/PERFORMANCE.md):
 
 * ``False`` (UNSAT) is only returned from checks that are pointwise
   refutations — the structural contradictions of the generic layer,
@@ -47,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ctable.condition import (
     _FLIPPED_OP,
+    SLOT_VARS,
     And,
     Comparison,
     Condition,
@@ -56,6 +61,7 @@ from ..ctable.condition import (
     Or,
     TrueCond,
     conjoin,
+    cube_of,
 )
 from ..ctable.terms import Constant, CVariable, Term, Variable
 from .canonical import _Group, _cmp, canonicalize
@@ -109,10 +115,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra is not rb and ra != rb:
             self._parent[ra] = rb
-
-
-def _identity(term: Term) -> Term:
-    return term
 
 
 def _is_unknown_term(term: Term) -> bool:
@@ -434,12 +436,6 @@ def _atomize(
             continue  # candidates stay None: outside the fast fragment
         if base_size > _CANDIDATE_BUDGET:
             continue
-        if group is None and doms is None and isinstance(base, FiniteDomain):
-            # No literals on a lone variable: candidates are exactly the
-            # domain, precomputed on the domain object (non-empty by
-            # FiniteDomain's constructor, so never an UNSAT signal).
-            info.candidates = base.sorted_raw()
-            continue
         candidates = []
         try:
             for value in base.raw_values():
@@ -518,74 +514,13 @@ def _linear_unsat(atom: LinearAtom, pinned_part: float,
     return hi <= bound  # ">"
 
 
-def _contiguous(cands: List[int]) -> bool:
-    return cands[-1] - cands[0] + 1 == len(cands)
+def _gather(children: Sequence[Condition]):
+    """Atomize a conjunction into union-find classes and pooled facts.
 
-
-def _solve_linear(atom: LinearAtom, pinned_part: float,
-                  free: List[Tuple[Term, float, List[int]]],
-                  choices: Dict[Term, object]) -> bool:
-    """Greedy witness for one linear atom over unit-coefficient classes.
-
-    Only attempts the fragment where every free class has coefficient 1
-    and a contiguous integer candidate range (the §4 failure encodings:
-    bool link variables under ``Σ x̄ᵢ op k``).  Returns False on any
-    shape it does not handle — the caller falls back; a wrong choice is
-    caught by the final ``evaluate`` verification either way.
-    """
-    if any(coeff != 1 or not _contiguous(cands) for _, coeff, cands in free):
-        return False
-    if any(rep in choices for rep, _, _ in free):
-        return False  # already fixed by an earlier atom: just verify later
-    lo_sum = pinned_part + sum(cands[0] for _, _, cands in free)
-    hi_sum = pinned_part + sum(cands[-1] for _, _, cands in free)
-    op, bound = atom.op, atom.bound
-    if op in ("=", "!=") and float(bound).is_integer():
-        bound = int(bound)
-    if op == "=":
-        if not isinstance(bound, int) or not (lo_sum <= bound <= hi_sum):
-            return False
-        surplus = bound - lo_sum
-        for rep, _, cands in free:
-            step = min(surplus, cands[-1] - cands[0])
-            choices[rep] = cands[0] + step
-            surplus -= step
-        return surplus == 0
-    if op in ("<=", "<"):
-        if not _cmp(op, lo_sum, bound):
-            return False
-        for rep, _, cands in free:
-            choices[rep] = cands[0]
-        return True
-    if op in (">=", ">"):
-        if not _cmp(op, hi_sum, bound):
-            return False
-        for rep, _, cands in free:
-            choices[rep] = cands[-1]
-        return True
-    # "!=": all-low unless that lands exactly on the bound.
-    total = lo_sum
-    picks = {rep: cands[0] for rep, _, cands in free}
-    if total == bound:
-        for rep, _, cands in free:
-            if cands[-1] > cands[0]:
-                picks[rep] = cands[0] + 1
-                total += 1
-                break
-        else:
-            return False
-    choices.update(picks)
-    return True
-
-
-def _solve_conjunction(
-    children: Sequence[Condition], domains: DomainMap
-):
-    """Decide a flat conjunction of atoms against the domain map.
-
-    Returns ``_UNSAT``, a witness dict ``{CVariable: Constant}``, or
-    ``None`` (no conclusion).  Every UNSAT return is a pointwise
-    refutation; the witness is verified by the caller.
+    Returns ``(uf, classes, neq_pairs, order_edges, linear)`` — every
+    ``var op const`` literal pooled into its class's group — or
+    ``_UNSAT`` on a ``FALSE`` conjunct, or ``None`` on a shape outside
+    the fragment (a disjunction, program variables, exotic terms).
     """
     uf = _UnionFind()
     seen_vars: Dict[CVariable, None] = {}
@@ -606,15 +541,13 @@ def _solve_conjunction(
         if isinstance(child, And):
             queue.extend(child.children)
             continue
-        if isinstance(child, Or):
-            return None  # caller case-splits; reaching here is a miss
         if isinstance(child, LinearAtom):
             linear.append(child)
             for var, _ in child.coeffs:
                 seen_vars.setdefault(var, None)
             continue
         if not isinstance(child, Comparison):
-            return None
+            return None  # Or / Not: the caller case-splits or re-checks
         lhs, op, rhs = child.lhs, child.op, child.rhs
         if isinstance(lhs, Constant) and isinstance(rhs, CVariable):
             lhs, op, rhs = rhs, _FLIPPED_OP[op], lhs
@@ -654,7 +587,22 @@ def _solve_conjunction(
             anchor = rep if isinstance(rep, CVariable) else CVariable("_class")
             info.group = _Group(anchor)
         info.group.add(op, value)
+    return uf, classes, neq_pairs, order_edges, linear
 
+
+def _solve_conjunction(
+    children: Sequence[Condition], domains: DomainMap
+):
+    """Decide a flat conjunction of atoms against the domain map.
+
+    Returns ``_UNSAT``, a witness dict ``{CVariable: Constant}``, or
+    ``None`` (no conclusion).  Every UNSAT return is a pointwise
+    refutation; the witness is verified by the caller.
+    """
+    gathered = _gather(children)
+    if gathered is None or gathered is _UNSAT:
+        return gathered
+    uf, classes, neq_pairs, order_edges, linear = gathered
     if _atomize(classes, domains) is False:
         return _UNSAT
 
@@ -686,31 +634,20 @@ def _solve_conjunction(
     if _strict_cycle(order_edges, uf):
         return _UNSAT
 
-    # Linear atoms: achievable-sum bound checks (sound UNSAT) ...
-    profiles = []
+    # Linear atoms: achievable-sum bound checks (sound UNSAT).
     for atom in linear:
         profile = _linear_profile(atom, uf, classes)
-        if profile is not None:
-            pinned_part, free = profile
-            if _linear_unsat(atom, pinned_part, free):
-                return _UNSAT
-        profiles.append(profile)
+        if profile is not None and _linear_unsat(atom, *profile):
+            return _UNSAT
 
-    # ... then witness construction (verified by the caller).
+    # Witness construction (verified by the caller); the bit rung
+    # decides boolean pins under a cardinality bound before this.
     if loose_edges:
         return None
-    choices: Dict[Term, object] = {}
-    for atom, profile in zip(linear, profiles):
-        if profile is None:
-            continue  # unverifiable shape: let evaluate() arbitrate
-        pinned_part, free = profile
-        _solve_linear(atom, pinned_part, free, choices)
     witness: Dict[CVariable, Constant] = {}
     for rep, info in classes.items():
         if info.pinned is not None:
             value = info.pinned
-        elif rep in choices:
-            value = choices[rep]
         elif info.candidates:
             value = info.candidates[0]
         else:
@@ -728,14 +665,7 @@ def _candidate_classes(
     Each equivalence class (union-find over ``var = var`` chains) gets
     the *exact* list of values its members may take — the intersection
     of every member's declared finite domain with the pooled
-    ``var op const`` literals.  Three narrowing sources combine:
-
-    * ``var = const`` literals pin a class to one value;
-    * the domain/literal intersection itself may be a singleton;
-    * linear atoms achievable only at an extreme of their candidate
-      ranges (``Σ x̄ᵢ = k`` where the already-pinned part leaves zero
-      slack — the §4 shape where a pinned failure plus ``Σ = 1`` forces
-      every other link variable to 0), propagated to a fixpoint.
+    ``var op const`` literals (see :func:`_atomize`).
 
     Soundness invariant: any satisfying assignment (over the declared
     domains) gives every class a value from its candidate list, and one
@@ -745,170 +675,18 @@ def _candidate_classes(
     ``None`` when some class's exact candidate set cannot be computed
     (unbounded domain, over budget, or a shape outside the fragment).
     """
-    uf = _UnionFind()
-    seen_vars: Dict[CVariable, None] = {}
-    var_const: List[Tuple[CVariable, str, object]] = []
-    linear: List[LinearAtom] = []
-    for child in plain:
-        if isinstance(child, TrueCond):
-            continue
-        if isinstance(child, LinearAtom):
-            linear.append(child)
-            for var, _ in child.coeffs:
-                seen_vars.setdefault(var, None)
-            continue
-        if not isinstance(child, Comparison):
+    gathered = _gather(plain)
+    if gathered is None:
+        return None
+    classes = gathered[1]
+    if _atomize(classes, domains) is False:
+        return [([], [])]
+    space = []
+    for info in classes.values():
+        if info.candidates is None:
             return None
-        lhs, op, rhs = child.lhs, child.op, child.rhs
-        if isinstance(lhs, Constant) and isinstance(rhs, CVariable):
-            lhs, op, rhs = rhs, _FLIPPED_OP[op], lhs
-        if isinstance(lhs, CVariable) and isinstance(rhs, Constant):
-            seen_vars.setdefault(lhs, None)
-            var_const.append((lhs, op, rhs.value))
-        elif isinstance(lhs, CVariable) and isinstance(rhs, CVariable):
-            seen_vars.setdefault(lhs, None)
-            seen_vars.setdefault(rhs, None)
-            if op == "=":
-                uf.union(lhs, rhs)
-            # != / < / ... never force values; evaluate re-checks them.
-        else:
-            return None
-    # With no var=var chains every variable is its own class — skip the
-    # union-find lookups entirely (the dominant Table-4 shape).
-    find = uf.find if uf._parent else _identity
-    classes: Dict[Term, _Class] = {}
-    for var in seen_vars:
-        rep = find(var)
-        info = classes.get(rep)
-        if info is None:
-            classes[rep] = info = _Class([])
-        info.members.append(var)
-    for var, op, value in var_const:
-        info = classes[find(var)]
-        if info.group is None:
-            info.group = _Group(var)
-        info.group.add(op, value)
-
-    # Per-class exact candidate list (pinned classes get a singleton).
-    # Plain loops throughout: this runs per insert on the dedup hot
-    # path, where generator-expression frames dominate at these sizes.
-    domain_of = domains.domain_of
-    numeric_ok: Dict[Term, bool] = {}
-    for rep, info in classes.items():
-        group = info.group
-        if group is not None and group.eqs and (
-            # Lone equality literal: trivially consistent, no need to run
-            # the full tightening pass (the dominant Table-4 shape).
-            (len(group.eqs) == 1
-             and not group.neqs and not group.lowers and not group.uppers)
-            or group.tighten_and() is not None
-        ):
-            value = group.eqs[0]
-            for v in info.members:
-                if not _domain_admits(domain_of(v), value):
-                    return [(info.members, [])]  # pin outside a domain
-            info.candidates = [value]
-            numeric_ok[rep] = isinstance(value, (int, float)) and not isinstance(
-                value, bool
-            )
-            continue
-        members = info.members
-        base = domain_of(members[0])
-        base_size = base.size()
-        if base_size is None:
-            return None
-        doms = None
-        if len(members) > 1:
-            doms = [base]
-            for v in members[1:]:
-                d = domain_of(v)
-                size = d.size()
-                if size is None:
-                    return None
-                if size < base_size:
-                    base, base_size = d, size
-                doms.append(d)
-        if base_size > _CANDIDATE_BUDGET:
-            return None
-        if group is None and doms is None and isinstance(base, FiniteDomain):
-            # A lone variable with no literals on it: the candidate list
-            # is the whole (sorted-when-numeric) domain, precomputed on
-            # the domain object — no per-insert rescan.
-            info.candidates = base.sorted_raw()
-            numeric_ok[rep] = base.numeric
-            continue
-        candidates = []
-        numeric = True
-        try:
-            for v in base.raw_values():
-                if group is not None and not _value_satisfies(group, v):
-                    continue
-                if doms is not None:
-                    admitted = True
-                    for d in doms:
-                        if d is not base and not _domain_admits(d, v):
-                            admitted = False
-                            break
-                    if not admitted:
-                        continue
-                candidates.append(v)
-                if numeric and (
-                    not isinstance(v, (int, float)) or isinstance(v, bool)
-                ):
-                    numeric = False
-        except TypeError:
-            return None
-        if not candidates:
-            return [(members, [])]  # literals leave the class no value
-        if numeric and len(candidates) > 1:
-            candidates.sort()
-        info.candidates = candidates
-        numeric_ok[rep] = numeric
-
-    # Zero-slack propagation through linear atoms: when an atom is
-    # achievable only with every multi-candidate class at one extreme of
-    # its (sorted numeric) candidate range, those extremes become pinned
-    # too.  Loop to a fixpoint (each pass pins at least one more class
-    # or stops).  Numeric-ness per class is computed once — propagation
-    # only ever shrinks a candidate list to one of its own values.
-    changed = bool(linear)
-    while changed:
-        changed = False
-        for atom in linear:
-            pinned_part = 0.0
-            merged: Dict[Term, float] = {}
-            usable = True
-            for var, coeff in atom.coeffs:
-                rep = find(var)
-                if not numeric_ok[rep]:
-                    usable = False
-                    break
-                cands = classes[rep].candidates
-                if len(cands) == 1:
-                    pinned_part += coeff * cands[0]
-                else:
-                    merged[rep] = merged.get(rep, 0.0) + coeff
-            if not usable or not merged:
-                continue
-            if any(coeff == 0 for coeff in merged.values()):
-                continue
-            lo = hi = pinned_part
-            for rep, coeff in merged.items():
-                cands = classes[rep].candidates
-                lo += coeff * (cands[0] if coeff > 0 else cands[-1])
-                hi += coeff * (cands[-1] if coeff > 0 else cands[0])
-            op, bound = atom.op, atom.bound
-            at_min = (op == "=" and bound == lo) or (op == "<=" and bound == lo)
-            at_max = (op == "=" and bound == hi) or (op == ">=" and bound == hi)
-            if at_min == at_max:  # neither extreme (lo < hi strictly here)
-                continue
-            for rep, coeff in merged.items():
-                cands = classes[rep].candidates
-                take_low = (coeff > 0) == at_min
-                classes[rep].candidates = [cands[0] if take_low else cands[-1]]
-                changed = True
-
-    return [(info.members, info.candidates) for info in classes.values()]
+        space.append((info.members, info.candidates))
+    return space
 
 
 #: Maximum assignments enumerated over a condition's atomized candidate
@@ -942,9 +720,7 @@ def _candidate_space(
         if product > _PRODUCT_BUDGET:
             return None
     # Budget-check the loose variables on domain *sizes* before
-    # materializing any value list — an over-budget product must cost
-    # nothing (at large RIB sizes whole-domain lists run to hundreds of
-    # values, and giving up after building them dominated this path).
+    # materializing any value list: an over-budget product costs nothing.
     domain_of = domains.domain_of
     loose = []
     for var in cvars:
@@ -963,30 +739,9 @@ def _candidate_space(
     return space
 
 
-#: Interned Constants for candidate payloads.  Candidate lists repeat
-#: massively across fast-path calls (mostly {0, 1} link-state values),
-#: so wrapper construction amortizes to a dict hit.  Keyed by payload
-#: type too: 1 and True pool separately even though they compare equal.
-_CONST_CACHE: Dict[Tuple[type, object], Constant] = {}
-
-
-def _const(value) -> Constant:
-    try:
-        key = (value.__class__, value)
-        const = _CONST_CACHE.get(key)
-    except TypeError:  # unhashable payload (nested-list tuple)
-        return Constant(value)
-    if const is None:
-        if len(_CONST_CACHE) > 4096:
-            _CONST_CACHE.clear()
-        const = Constant(value)
-        _CONST_CACHE[key] = const
-    return const
-
-
 def _assignments(space: List[Tuple[List[CVariable], List]]):
     """Yield every total assignment over the atomized candidate space."""
-    consts = [[_const(v) for v in values] for _, values in space]
+    consts = [[Constant(v) for v in values] for _, values in space]
     for combo in itertools.product(*consts):
         assignment: Dict[CVariable, Constant] = {}
         for (members, _), const in zip(space, combo):
@@ -1025,10 +780,7 @@ def _search(canon: Condition, domains: DomainMap, depth: int):
         # variable of the condition to a small exact candidate space,
         # exhaustive evaluation over that space decides the whole
         # conjunction — Or children and all — regardless of how large
-        # the case-split product is.  (This is the dominant q6/q8
-        # shape: per-path equalities plus the §4 failure-pattern
-        # disjunctions over the same variables; the equalities shrink
-        # the space to a handful of assignments.)  Completeness: every
+        # the case-split product is.  Completeness: every
         # model assigns each class a value from its candidate list, so
         # an exhausted space with no accepting assignment is UNSAT.
         space = _candidate_space(set(canon.cvariables()), plain, domains)
@@ -1068,8 +820,14 @@ def fast_sat(
     soundness argument); ``None`` sends the caller to the complete
     backends.  Pass ``assume_canonical=True`` when the input is already
     in the canonical normal form of :mod:`repro.solver.canonical` (the
-    memoized solver path) to skip re-canonicalization.
+    memoized solver path) to skip re-canonicalization.  A cube is
+    decided by the bit rung, exactly, before any canonical form is built.
     """
+    cube = cube_of(condition)
+    if cube is not None:
+        verdict = _cube_sat(cube, domains)
+        if verdict is not None:
+            return verdict
     canon = condition if assume_canonical else canonicalize(condition)
     if isinstance(canon, TrueCond):
         return True
@@ -1100,57 +858,6 @@ def fast_sat(
     return True if satisfied else None
 
 
-#: Countermodel cache for :func:`fast_implies`, keyed per antecedent.
-#: The c-table dedup loop re-asks the *same* antecedent against a
-#: growing disjunction of stored conditions; an assignment that
-#: satisfied the antecedent while falsifying the old consequent usually
-#: still falsifies the new one, and re-checking a candidate countermodel
-#: is a handful of ``evaluate`` calls instead of a full atomization.
-#: The cache is deliberately global (not per DomainMap): every reuse is
-#: re-verified from scratch — antecedent satisfaction, consequent
-#: falsification, and membership in the *caller's current* domains — so
-#: a witness recorded under one domain map is safely consulted under
-#: another, and a stale entry can only cost a fallthrough, never a
-#: wrong answer.
-_WITNESS_CACHE: Dict[Condition, Dict[CVariable, Constant]] = {}
-_WITNESS_LIMIT = 8192
-
-
-def _check_witness(
-    witness: Dict[CVariable, Constant],
-    antecedent: Condition,
-    consequent: Condition,
-    domains: DomainMap,
-) -> bool:
-    """Whether ``witness`` is a valid countermodel for ``A ⊨ C`` now.
-
-    Validity is re-established in full: the assignment must falsify the
-    consequent, satisfy the antecedent, and lie inside every variable's
-    *current* declared domain (the map may have been re-declared since
-    the witness was recorded).  ``KeyError``/``TypeError`` — a new
-    variable or an incomparable payload — simply reject the witness.
-    """
-    try:
-        if consequent.evaluate(witness) or not antecedent.evaluate(witness):
-            return False
-    except (KeyError, TypeError):
-        return False
-    domain_of = domains.domain_of
-    for var, const in witness.items():
-        if not _domain_admits(domain_of(var), const.value):
-            return False
-    return True
-
-
-def _remember_witness(
-    antecedent: Condition,
-    witness: Dict[CVariable, Constant],
-) -> None:
-    if len(_WITNESS_CACHE) >= _WITNESS_LIMIT:
-        _WITNESS_CACHE.clear()
-    _WITNESS_CACHE[antecedent] = witness
-
-
 def fast_implies(
     antecedent: Condition,
     consequent: Condition,
@@ -1159,38 +866,157 @@ def fast_implies(
     """Semi-decide entailment without canonicalizing either side.
 
     The c-table hot path (:meth:`CTable` dedup / ``is_new``) asks
-    ``new ⊨ Or(stored)`` for conditions whose plain equality conjuncts
-    narrow the variables to a small exact candidate space — the §4
-    per-path shape.  Entailment is then decided exhaustively: the
-    implication holds iff no assignment in the antecedent's atomized
-    space satisfies the antecedent but falsifies the consequent.
-    Completeness of the space (every model of the antecedent lies in
-    it, and it covers the consequent's variables too) makes both the
-    ``True`` and the ``False`` answer definite; a ``False`` comes with
-    an explicit countermodel having been evaluated.
+    ``new ⊨ Or(stored)``.  A cube antecedent against a disjunction of
+    cubes is decided by the bit rung (:func:`_cube_implies`); any other
+    pair whose plain conjuncts narrow the variables to a small exact
+    candidate space is decided exhaustively: the implication holds iff
+    no assignment in the antecedent's atomized space satisfies the
+    antecedent but falsifies the consequent.  Completeness of the space
+    makes both the ``True`` and the ``False`` answer definite.
 
     Returns ``None`` (no conclusion) on any other shape; the caller
     proceeds with the memoized conjoin-and-refute path unchanged.
     """
-    witness = _WITNESS_CACHE.get(antecedent)
-    if witness is not None and _check_witness(
-        witness, antecedent, consequent, domains
-    ):
-        return False  # the cached countermodel still refutes A ⊨ C
+    cube = cube_of(antecedent)
+    if cube is not None:
+        verdict = _cube_implies(cube, consequent, domains)
+        if verdict is not None:
+            return verdict
     return _space_entails(antecedent, consequent, domains)
 
 
 def raw_sat(condition: Condition, domains: DomainMap) -> Optional[bool]:
     """Semi-decide satisfiability of a raw (uncanonicalized) condition.
 
-    sat(A) = not (A ⊨ ⊥), decided by the same atomized candidate-space
-    check :func:`fast_implies` runs: definite when the condition's plain
+    A cube is decided by the bit rung (:func:`_cube_sat`); otherwise
+    sat(A) = not (A ⊨ ⊥), decided by the atomized candidate-space check
+    :func:`fast_implies` runs: definite when the condition's plain
     conjuncts narrow every variable to a small exact space, ``None``
     otherwise.  This is the solver's first rung, tried before any
     canonical form is built.
     """
+    cube = cube_of(condition)
+    if cube is not None:
+        verdict = _cube_sat(cube, domains)
+        if verdict is not None:
+            return verdict
     entailed = _space_entails(condition, FALSE, domains)
     return None if entailed is None else not entailed
+
+
+# ---------------------------------------------------------------------------
+# The bit rung: cubes over boolean c-variables
+# ---------------------------------------------------------------------------
+
+#: Most free variables :func:`_cube_implies` enumerates (2**n assignments).
+_FREE_BUDGET = 10
+
+
+def _all_boolean(domains: DomainMap, lo: int, mask: int) -> bool:
+    """Whether every variable in the slot mask has domain exactly {0, 1}.
+
+    Over such variables a cube's pins are admitted and its free
+    variables take exactly the values 0 and 1: what makes the bit rung
+    complete.  Cached per domain map (a re-declare starts a new cache).
+    """
+    cache, key = domains.boolean_spans, (lo, mask)
+    known = cache.get(key)
+    if known is None:
+        known = True
+        while mask and known:
+            if mask & 1:
+                domain = domains.domain_of(SLOT_VARS[lo])
+                known = (
+                    isinstance(domain, IntRange) and (domain.lo, domain.hi) == (0, 1)
+                ) or (
+                    isinstance(domain, FiniteDomain) and domain.numeric
+                    and domain.size() == 2 and domain.admits_raw(0) and domain.admits_raw(1)
+                )
+            mask >>= 1
+            lo += 1
+        if len(cache) >= 4096:  # bound the cache
+            cache.clear()
+        cache[key] = known
+    return known
+
+
+def _cube_sat(cube, domains: DomainMap) -> Optional[bool]:
+    """sat of a cube: no conflict, and some integer sum in the range the
+    pins leave reaches the cardinality bound.  ``None`` when some
+    variable is not boolean under ``domains``."""
+    lo, zeros, ones, card, card_mask = cube
+    if zeros & ones:
+        return False  # u = 0 ∧ u = 1, whatever the domain
+    if not _all_boolean(domains, lo, zeros | ones | card_mask):
+        return None
+    if card is None:
+        return True
+    low = (ones & card_mask).bit_count()
+    high = low + (card_mask & ~(zeros | ones)).bit_count()
+    op, bound = card.op, card.bound
+    if op == "=":
+        return low <= bound <= high and float(bound).is_integer()
+    if op == "!=":
+        return not low == high == bound
+    return _cmp(op, low if op in ("<", "<=") else high, bound)
+
+
+def _cube_implies(cube, consequent: Condition, domains: DomainMap) -> Optional[bool]:
+    """``A ⊨ B1 ∨ … ∨ Bn`` for a cube ``A`` and cubes ``Bi``.
+
+    A satisfiable ``A`` entails the disjunction iff no assignment of the
+    variables ``A`` leaves free satisfies ``A``'s bound while falsifying
+    every ``Bi``.  Disjuncts that contradict ``A``'s pins drop out, a
+    ``Bi`` whose pins ``A`` makes (with no bound, or ``A``'s own) settles
+    it at once — the subset test — and the rest is an enumeration of the
+    free bits.  ``None`` outside the fragment or over budget.
+    """
+    sat = _cube_sat(cube, domains)
+    if not sat:
+        return None if sat is None else True  # no model of A: entails all
+    disjuncts = consequent.children if isinstance(consequent, Or) else (consequent,)
+    others = []
+    for disjunct in disjuncts:
+        other = cube_of(disjunct)
+        if other is None:
+            return True if isinstance(disjunct, TrueCond) else None
+        others.append(other)
+    lo, zeros, ones, card, card_mask = cube
+    base = min(lo, min(other[0] for other in others))
+    shift = lo - base
+    zeros, ones, card_mask = zeros << shift, ones << shift, card_mask << shift
+    pinned = zeros | ones
+    live = []
+    span = card_mask
+    for at, b_zeros, b_ones, b_card, b_mask in others:
+        shift = at - base
+        b_zeros, b_ones, b_mask = b_zeros << shift, b_ones << shift, b_mask << shift
+        if b_zeros & b_ones or b_zeros & ones or b_ones & zeros:
+            continue  # Bi is false wherever A holds
+        b_pins = b_zeros | b_ones
+        if not b_pins & ~pinned and (b_card is None or b_card == card):
+            return True  # A ⊨ Bi outright
+        if not _all_boolean(domains, at, (b_pins | b_mask) >> shift):
+            return None
+        live.append((b_pins, b_ones, b_card, b_mask))
+        span |= b_pins | b_mask
+    free = span & ~pinned
+    if free.bit_count() > _FREE_BUDGET:
+        return None
+    bits = 0
+    while True:  # every subset of the free bits, as the variables set to 1
+        world = ones | bits
+        if card is None or _cmp(card.op, (world & card_mask).bit_count(), card.bound):
+            for b_pins, b_ones, b_card, b_mask in live:
+                if not (world ^ b_ones) & b_pins and (
+                    b_card is None or _cmp(b_card.op, (world & b_mask).bit_count(), b_card.bound)
+                ):
+                    break  # this world satisfies Bi
+            else:
+                return False  # a model of A outside every Bi
+        if bits == free:
+            return True
+        bits = (bits - free) & free
 
 
 def _space_entails(
@@ -1202,8 +1028,7 @@ def _space_entails(
 
     ``True`` when no assignment in the space satisfies ``A`` and
     falsifies ``C`` (an empty space means ``A`` has no model); ``False``
-    with the countermodel remembered for :func:`fast_implies`; ``None``
-    when the space is not exactly computable.
+    when one does; ``None`` when the space is not exactly computable.
     """
     children = (
         antecedent.children if isinstance(antecedent, And) else (antecedent,)
@@ -1241,30 +1066,7 @@ def _space_entails(
     space = _candidate_space(cvars, plain, domains)
     if space is None:
         return None
-    try:
-        singleton = True
-        for _, values in space:
-            if len(values) != 1:
-                if not values:
-                    return True  # an empty class: A has no model
-                singleton = False
-                break
-        if singleton:
-            # Dominant Table-4 shape: the equalities pin every class, so
-            # the space is one assignment — build and test it directly
-            # (no product/generator machinery on the per-insert path).
-            assignment = {}
-            for members, values in space:
-                const = _const(values[0])
-                for var in members:
-                    assignment[var] = const
-            for child in residue:
-                if not child.evaluate(assignment):
-                    return True  # antecedent unsat: entails everything
-            if consequent.evaluate(assignment):
-                return True
-            _remember_witness(antecedent, assignment)
-            return False
+    try:  # an empty class yields no assignment: A has no model
         for assignment in _assignments(space):
             ok = True
             for child in residue:
@@ -1272,7 +1074,6 @@ def _space_entails(
                     ok = False
                     break
             if ok and not consequent.evaluate(assignment):
-                _remember_witness(antecedent, assignment)
                 return False
         return True  # no countermodel in the complete space (or A unsat)
     except (KeyError, TypeError):

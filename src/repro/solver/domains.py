@@ -49,7 +49,7 @@ class Domain:
 class FiniteDomain(Domain):
     """An explicit finite set of values."""
 
-    __slots__ = ("_values", "_raw", "_raw_set", "numeric", "_sorted_raw")
+    __slots__ = ("_values", "_raw", "_raw_set", "numeric")
 
     def __init__(self, values: Iterable):
         vals = []
@@ -74,9 +74,6 @@ class FiniteDomain(Domain):
                 break
         #: Whether every payload is a non-bool number (solver fast path).
         self.numeric: bool = numeric
-        self._sorted_raw: Tuple = (
-            tuple(sorted(self._raw)) if numeric and len(self._raw) > 1 else self._raw
-        )
 
     @property
     def is_finite(self) -> bool:
@@ -98,11 +95,6 @@ class FiniteDomain(Domain):
             return value in self._raw_set
         except TypeError:  # unhashable payload: fall back to the == scan
             return value in self._raw
-
-    def sorted_raw(self) -> Tuple:
-        """Raw payloads, ascending when all-numeric (declaration order
-        otherwise) — the candidate order the solver fast path expects."""
-        return self._sorted_raw
 
     def size(self) -> int:
         return len(self._values)
@@ -210,6 +202,10 @@ class DomainMap:
         default: Optional[Domain] = None,
     ):
         self._map: Dict[CVariable, Domain] = {}
+        #: (lo, slot mask) -> all-boolean: the solver bit rung's domain
+        #: check, keyed on the process-local slot numbering, so it is
+        #: never pickled; re-declaring a variable replaces it.
+        self.boolean_spans: Dict[Tuple[int, int], bool] = {}
         if mapping:
             for var, dom in mapping.items():
                 self.declare(var, dom)
@@ -229,6 +225,14 @@ class DomainMap:
         if not isinstance(domain, Domain):
             domain = FiniteDomain(domain)
         self._map[var] = domain
+        self.boolean_spans = {}  # a fresh dict: a racing reader fills the old one
+
+    def __getstate__(self):
+        return {"_map": self._map, "_default": self._default}
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self.boolean_spans = {}
 
     def domain_of(self, var: CVariable) -> Domain:
         """The declared domain, or the default when undeclared."""

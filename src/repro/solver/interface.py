@@ -8,10 +8,10 @@ fixpoint dedup and containment checking), equivalence, model enumeration
 
 Routing — the decision ladder of :meth:`ConditionSolver.sat_verdict`:
 trivial structure, then the per-solver cache, then one governed call is
-charged, then the **raw rung** (:func:`repro.solver.atoms.raw_sat`)
-tries the condition exactly as given — sat(A) = not (A ⊨ ⊥) over its
-atomized candidate space, the same check :func:`~repro.solver.atoms.fast_implies`
-runs for dedup.  Only when that misses is the canonical form interned:
+charged, then the **raw rung** (:func:`repro.solver.atoms.raw_sat`) tries
+the condition as given — by bit operations for a cube of boolean pins,
+else over its atomized candidate space, as :func:`~repro.solver.atoms.fast_implies`
+does for dedup.  Only when that misses is the canonical form interned:
 canonical collapse to TRUE/FALSE, the shared memo (and its store), and
 then :meth:`~ConditionSolver._decide_sat` — the fast path on the
 canonical form (:func:`repro.solver.atoms.fast_sat`), exact enumeration

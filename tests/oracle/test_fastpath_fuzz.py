@@ -12,8 +12,12 @@ This suite throws ≥500 seeded random conditions at it and demands
 * memoization on/off does not change a single verdict;
 * under ≥30% fault injection every definite verdict still matches the
   fault-free stream (faults only ever degrade to UNKNOWN);
-* the witness (countermodel) cache — re-asking one antecedent against a
-  growing disjunction, the ``is_new`` dedup shape — stays sound.
+* re-asking one antecedent against a growing disjunction, the
+  ``is_new`` dedup shape, stays sound;
+* the bit rung (cubes of boolean pins with one cardinality bound, the
+  RIB shape) matches world enumeration for sat and for chains
+  ``A ⊨ B1 ∨ … ∨ Bn``, and its verdict streams are byte-identical with
+  the fast path on and off.
 """
 
 import random
@@ -211,16 +215,14 @@ def test_fault_injection_implies_parity(memo):
         assert got == expected or got is Trivalent.UNKNOWN
 
 
-def test_witness_cache_growing_disjunction():
+def test_growing_disjunction_matches_oracle():
     """The ``is_new`` shape: one antecedent vs. an ever-growing Or.
 
-    Re-asking the same antecedent exercises the countermodel cache —
-    each cached witness must be re-verified against the *current*
-    consequent, so a disjunct that newly covers the witness may not be
-    skipped.
+    Each step re-asks the same antecedent against a consequent with one
+    more disjunct, so a disjunct that newly covers the last countermodel
+    must flip the answer.
     """
     rng = random.Random(SEED + 2)
-    atoms._WITNESS_CACHE.clear()
     solver = _solver()
     checks = 0
     for _ in range(40):
@@ -239,23 +241,127 @@ def test_witness_cache_growing_disjunction():
             assert got == (Trivalent.TRUE if expected else Trivalent.FALSE)
             checks += 1
     assert checks == 240
-    assert atoms._WITNESS_CACHE, "growing-disjunction shape never cached a witness"
 
 
-def test_witness_cache_rejects_stale_domains():
-    """A cached countermodel from wider domains must be re-verified.
+def test_bit_rung_rereads_redeclared_domains():
+    """The bit rung's per-map domain check must not outlive a re-declare.
 
-    The cache is keyed on the antecedent alone, so a second solver with
-    *narrower* domains can look up a witness whose values its own
-    domains no longer admit — ``_check_witness`` must reject it rather
-    than report a refutation sourced from an inadmissible world.
+    A cube over a boolean variable is decided by bit operations; once
+    the variable is re-declared over {0, 1, 2} the same question has a
+    different answer (``v = 2`` falsifies both disjuncts), and a cached
+    "all boolean" from before would report a wrong entailment.
     """
-    v = CVariable("w0")
-    antecedent = Comparison(v, ">=", Constant(0))
-    consequent = eq(v, 0)
-    wide = DomainMap({v: FiniteDomain([0, 1])})
-    assert atoms.fast_implies(antecedent, consequent, wide) is False
-    assert antecedent in atoms._WITNESS_CACHE  # countermodel {v: 1} cached
-    narrow = DomainMap({v: FiniteDomain([0])})
-    result = atoms.fast_implies(antecedent, consequent, narrow)
-    assert result is not False, "stale witness leaked across domain maps"
+    v, w = CVariable("w0"), CVariable("w1")
+    antecedent = eq(w, 1)
+    consequent = disjoin([conjoin([eq(w, 1), eq(v, 0)]), conjoin([eq(w, 1), eq(v, 1)])])
+    domains = DomainMap({v: FiniteDomain([0, 1]), w: FiniteDomain([0, 1])})
+    assert atoms.fast_implies(antecedent, consequent, domains) is True
+    domains.declare(v, FiniteDomain([0, 1, 2]))
+    assert atoms.fast_implies(antecedent, consequent, domains) is not True
+    assert ConditionSolver(domains, memo=None).implies(antecedent, consequent) is False
+
+
+# -- the RIB shape: boolean pins with one cardinality bound --------------------
+
+BOOL_VARS = [CVariable(f"b{i}") for i in range(10)]
+BOOL_DOMAINS = DomainMap({v: FiniteDomain([0, 1]) for v in BOOL_VARS})
+#: The same variables with two of them over {0, 1, 2}: the bit rung must
+#: step aside (``None``) for any cube that reads those two.
+MIXED_DOMAINS = DomainMap(
+    {v: FiniteDomain([0, 1, 2] if i >= 8 else [0, 1]) for i, v in enumerate(BOOL_VARS)}
+)
+CARD_OPS = ["=", "<=", ">="]
+
+
+def _gen_cube(rng: random.Random, pool: list, bound_p: float) -> Condition:
+    """A literal conjunction over ``pool``, with one Σ bound at ``bound_p``.
+
+    Pins include out-of-domain ones (``b = 2``) and self-conflicts
+    (``b = 0 ∧ b = 1``), the two shapes the bit rung must refute.
+    """
+    parts = []
+    for var in rng.sample(pool, rng.randrange(1, min(5, len(pool)) + 1)):
+        roll = rng.random()
+        if roll < 0.05:
+            parts.append(eq(var, 2))
+        elif roll < 0.12:
+            parts += [eq(var, 0), eq(var, 1)]
+        else:
+            parts.append(eq(var, rng.randrange(2)))
+    rng.shuffle(parts)
+    if rng.random() < bound_p:
+        over = rng.sample(pool, rng.randrange(2, len(pool) + 1))
+        parts.append(LinearAtom(over, rng.choice(CARD_OPS), rng.randrange(0, len(over) + 1)))
+    return conjoin(parts)
+
+
+def _bool_chains() -> list:
+    """(A, [B1, …, Bn]) chains over 6–10 boolean variables; the bound sits
+    mostly on A, as the q6/q8 pattern does."""
+    rng = random.Random(SEED + 3)
+    chains = []
+    for _ in range(100):
+        pool = BOOL_VARS[: rng.randrange(6, 11)]
+        antecedent = _gen_cube(rng, pool, 0.7)
+        stored = [_gen_cube(rng, pool, 0.25) for _ in range(rng.randrange(1, 7))]
+        chains.append((antecedent, stored))
+    return chains
+
+
+BOOL_CHAINS = _bool_chains()
+
+
+def _bool_stream(solver: ConditionSolver) -> list:
+    out = []
+    for antecedent, stored in BOOL_CHAINS:
+        out.append(solver.sat_verdict(antecedent))
+        for i in range(1, len(stored) + 1):
+            out.append(solver.implies_verdict(antecedent, disjoin(stored[:i])))
+    return out
+
+
+@pytest.mark.parametrize("domains", [BOOL_DOMAINS, MIXED_DOMAINS], ids=["boolean", "mixed"])
+def test_bit_rung_matches_worlds(domains):
+    def worlds(*conds):
+        cvars = set().union(*(c.cvariables() for c in conds))
+        return iter_assignments(sorted(cvars, key=lambda v: v.name), domains)
+
+    def boolean(*conds):
+        return all(domains.domain_of(v).size() == 2 for c in conds for v in c.cvariables())
+
+    sat_decided = implies_decided = 0
+    for antecedent, stored in BOOL_CHAINS:
+        for cond in [antecedent] + stored:
+            expected = any(cond.evaluate(w) for w in worlds(cond))
+            cube = atoms.cube_of(cond)
+            if cube is not None:
+                verdict = atoms._cube_sat(cube, domains)
+                assert verdict is not None or not boolean(cond), f"bit rung missed {cond}"
+                if verdict is not None:
+                    sat_decided += 1
+                    assert verdict == expected, f"bit rung sat lied on {cond}"
+            assert atoms.raw_sat(cond, domains) in (expected, None)
+        for i in range(1, len(stored) + 1):
+            consequent = disjoin(stored[:i])
+            expected = all(
+                consequent.evaluate(w)
+                for w in worlds(antecedent, consequent)
+                if antecedent.evaluate(w)
+            )
+            got = atoms.fast_implies(antecedent, consequent, domains)
+            assert got in (expected, None), f"fast_implies lied on {antecedent} ⊨ {consequent}"
+            cube = atoms.cube_of(antecedent)
+            if cube is not None:
+                bits = atoms._cube_implies(cube, consequent, domains)
+                if bits is not None:
+                    implies_decided += 1
+                    assert bits == expected, f"bit rung lied on {antecedent} ⊨ {consequent}"
+    assert sat_decided > 200 and implies_decided > 150, "fuzzer off the bit rung"
+
+
+@pytest.mark.parametrize("domains", [BOOL_DOMAINS, MIXED_DOMAINS], ids=["boolean", "mixed"])
+def test_bit_rung_on_off_byte_identical(domains):
+    on = ConditionSolver(domains, memo=MemoTable())
+    off = ConditionSolver(domains, memo=MemoTable(), fast_path=False)
+    assert _bool_stream(on) == _bool_stream(off)
+    assert on.stats.fast_path_hits > 0 and off.stats.fast_path_hits == 0
