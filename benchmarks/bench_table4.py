@@ -39,25 +39,9 @@ except ImportError:  # python benchmarks/bench_table4.py
     from conftest import PREFIX_SIZES
 
 
-def _fresh_analyzer(
-    compiled,
-    jobs: int = 1,
-    fast_path: bool = True,
-    optimize: bool = False,
-    fresh_memo: bool = False,
-):
-    """Build an analyzer; ``fresh_memo`` gives the run a private memo
-    table so on/off ablation pairs cannot serve each other's verdicts."""
-    from repro.solver.memo import MemoTable
-
-    solver = ConditionSolver(
-        compiled.domains,
-        fast_path=fast_path,
-        **({"memo": MemoTable()} if fresh_memo else {}),
-    )
-    return ReachabilityAnalyzer(
-        compiled.database(), solver, per_flow=True, jobs=jobs, optimize=optimize
-    )
+def _fresh_analyzer(compiled, jobs: int = 1, fast_path: bool = True):
+    solver = ConditionSolver(compiled.domains, fast_path=fast_path)
+    return ReachabilityAnalyzer(compiled.database(), solver, per_flow=True, jobs=jobs)
 
 
 def _pattern_queries(compiled, routes, kind: str) -> List[PatternQuery]:
@@ -145,98 +129,6 @@ def test_failure_patterns(benchmark, rib_workloads, prefixes, query):
     benchmark.extra_info["tuples"] = stats.tuples_generated
 
 
-def run_ablation(prefixes: int, jobs: int = 1) -> List[dict]:
-    """The ``--optimize`` on/off ablation for one prefix size.
-
-    Each arm gets a private memo table (no verdict cross-pollination)
-    and its own analyzer.  Returns one row per query with the solver
-    decision counts (``SolverStats.decisions``: fast-path + enumeration
-    + DPLL verdicts actually *computed*) for both arms, the reduction,
-    and whether the generated tuple counts agree — the ablation is only
-    meaningful if the answers are the same.
-    """
-    from repro.network.forwarding import compile_forwarding
-    from repro.workloads.ribgen import RibConfig, generate_rib
-
-    routes = generate_rib(
-        RibConfig(prefixes=prefixes, as_count=max(60, prefixes // 4), seed=20210610)
-    )
-    compiled = compile_forwarding(routes)
-
-    def sweep(optimize: bool):
-        analyzer = _fresh_analyzer(
-            compiled, jobs=jobs, optimize=optimize, fresh_memo=True
-        )
-        analyzer.compute()
-        rows = {
-            "q4-q5": (
-                analyzer.solver.stats.decisions,
-                analyzer.stats.tuples_generated,
-            )
-        }
-        for query in ("q6", "q7", "q8"):
-            before = analyzer.solver.stats.decisions
-            stats = _pattern_stats(analyzer, compiled, routes, query, jobs=jobs)
-            rows[query] = (
-                analyzer.solver.stats.decisions - before,
-                stats.tuples_generated,
-            )
-        return rows
-
-    baseline = sweep(optimize=False)
-    optimized = sweep(optimize=True)
-    out = []
-    for query in ("q4-q5", "q6", "q7", "q8"):
-        dec_off, tup_off = baseline[query]
-        dec_on, tup_on = optimized[query]
-        out.append(
-            {
-                "query": query,
-                "prefixes": prefixes,
-                "decisions": dec_off,
-                "decisions_optimized": dec_on,
-                "decision_reduction": round(1 - dec_on / dec_off, 4)
-                if dec_off
-                else 0.0,
-                "tuples": tup_off,
-                "tuples_optimized": tup_on,
-                "tuples_agree": tup_off == tup_on,
-            }
-        )
-    return out
-
-
-def _print_ablation(sizes: List[int], jobs: int) -> bool:
-    """Print the optimizer ablation table; ``True`` iff sound + effective
-    (all tuple counts agree and q6/q8 shed ≥20% of solver decisions)."""
-    header = (
-        f"{'#prefix':>8} {'query':>6} | {'dec off':>8} {'dec on':>8} "
-        f"{'reduction':>9} | {'tuples':>8} {'agree':>5}"
-    )
-    print("Optimizer ablation: solver decisions with --optimize off vs on")
-    print(header)
-    print("-" * len(header))
-    ok = True
-    for prefixes in sizes:
-        for row in run_ablation(prefixes, jobs=jobs):
-            print(
-                f"{row['prefixes']:>8} {row['query']:>6} | "
-                f"{row['decisions']:>8} {row['decisions_optimized']:>8} "
-                f"{row['decision_reduction']:>8.1%} | "
-                f"{row['tuples']:>8} {str(row['tuples_agree']):>5}"
-            )
-            if not row["tuples_agree"]:
-                print(f"MISMATCH: {row['query']}@{prefixes} tuple counts diverge")
-                ok = False
-            if row["query"] in ("q6", "q8") and row["decision_reduction"] < 0.20:
-                print(
-                    f"FAIL: {row['query']}@{prefixes} shed only "
-                    f"{row['decision_reduction']:.1%} of solver decisions (<20%)"
-                )
-                ok = False
-    return ok
-
-
 def main(argv=None) -> None:
     """Print the paper's Table 4 layout for the scaled RIB sweep."""
     from repro.network.forwarding import compile_forwarding
@@ -256,20 +148,8 @@ def main(argv=None) -> None:
         default=None,
         help=f"prefix sizes to sweep (default {PREFIX_SIZES})",
     )
-    parser.add_argument(
-        "--optimize",
-        action="store_true",
-        help="run the static-optimizer on/off ablation instead of the "
-        "plain sweep (exits non-zero on tuple divergence or a <20%% "
-        "q6/q8 decision reduction)",
-    )
     args = parser.parse_args(argv)
     sizes = args.sizes or PREFIX_SIZES
-
-    if args.optimize:
-        if not _print_ablation(sizes, args.jobs):
-            raise SystemExit(1)
-        return
 
     header = (
         f"{'#prefix':>8} | {'q4-q5 sql':>9} | "

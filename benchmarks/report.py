@@ -54,14 +54,14 @@ try:  # package-relative when imported by pytest
     from .bench_serve import FULL as SERVE_FULL
     from .bench_serve import SMOKE as SERVE_SMOKE
     from .bench_serve import build_report as build_serve_report
-    from .bench_table4 import _fresh_analyzer, _pattern_stats, run_ablation
+    from .bench_table4 import _fresh_analyzer, _pattern_stats
     from .conftest import PREFIX_SIZES
 except ImportError:  # python benchmarks/report.py
     from bench_incremental import build_report as build_incremental_report
     from bench_serve import FULL as SERVE_FULL
     from bench_serve import SMOKE as SERVE_SMOKE
     from bench_serve import build_report as build_serve_report
-    from bench_table4 import _fresh_analyzer, _pattern_stats, run_ablation
+    from bench_table4 import _fresh_analyzer, _pattern_stats
     from conftest import PREFIX_SIZES
 
 QUERIES = ("q6", "q7", "q8")
@@ -179,25 +179,6 @@ def build_reports(sizes: List[int], jobs: int) -> Dict[str, Dict]:
                             else 1.0,
                         }
                     )
-    # Static-optimizer ablation: per query, solver decisions with
-    # --optimize off vs on (private memo tables per arm).  Rows are
-    # joined onto the serial rows by (query, prefixes); the existing
-    # schema only gains keys, so older consumers keep working.
-    for prefixes in sizes:
-        for abl in run_ablation(prefixes, jobs=1):
-            if not abl["tuples_agree"]:
-                mismatches.append(
-                    f"{abl['query']}@{prefixes}: --optimize off "
-                    f"{abl['tuples']} vs on {abl['tuples_optimized']} tuples"
-                )
-            for row in serial_rows:
-                if (
-                    row["query"] == abl["query"]
-                    and row["prefixes"] == abl["prefixes"]
-                ):
-                    row["decisions"] = abl["decisions"]
-                    row["decisions_optimized"] = abl["decisions_optimized"]
-                    row["decision_reduction"] = abl["decision_reduction"]
     meta = {
         "workload": "table4-rib",
         "cpu_count": os.cpu_count(),
@@ -344,26 +325,6 @@ def main(argv=None) -> int:
         for line in failures:
             print(f"FAIL: {line}", file=sys.stderr)
         return 1
-    reductions = [
-        (row["query"], row["prefixes"], row["decision_reduction"])
-        for row in reports["BENCH_table4.json"]["rows"]
-        if "decision_reduction" in row and row["query"] in ("q6", "q8")
-    ]
-    if reductions:
-        worst = min(r for _, _, r in reductions)
-        print(
-            f"optimizer ablation: q6/q8 solver-decision reduction "
-            f"{worst:.1%}..{max(r for _, _, r in reductions):.1%} with --optimize"
-        )
-        if worst < 0.20:
-            for query, prefixes, r in reductions:
-                if r < 0.20:
-                    print(
-                        f"FAIL: {query}@{prefixes} shed only {r:.1%} "
-                        f"of solver decisions (<20%)",
-                        file=sys.stderr,
-                    )
-            return 1
     incremental = reports["BENCH_incremental.json"]
     if not incremental["final_tuples_agree"]:
         print(

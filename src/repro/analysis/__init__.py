@@ -13,9 +13,9 @@ decided by a sound, solver-free abstract domain
 
 The whole-program half lives in :mod:`~repro.analysis.dataflow` (the
 abstract interpreter over the rule dependency graph) and
-:mod:`~repro.analysis.optimize` (the ``--optimize`` pass deriving domain
-narrowing, query-driven relevance slicing, and static condition
-classification from it).
+:mod:`~repro.analysis.optimize` (the F016–F020 findings it proves:
+dead rules, vacuous conditions, domain narrowing, query relevance and
+widening).
 
 See docs/ANALYSIS.md for the code catalog and the soundness argument.
 """
@@ -39,12 +39,7 @@ from .diagnostics import (
     render_text,
 )
 from .manager import DEFAULT_PASSES, PassManager, analyze_program, analyze_text
-from .optimize import (
-    ConditionPrecheck,
-    OptimizationResult,
-    optimize_program,
-    sequence_transforms_allowed,
-)
+from .optimize import whole_program_findings
 
 __all__ = [
     "AbstractResult",
@@ -68,8 +63,5 @@ __all__ = [
     "PassManager",
     "analyze_program",
     "analyze_text",
-    "ConditionPrecheck",
-    "OptimizationResult",
-    "optimize_program",
-    "sequence_transforms_allowed",
+    "whole_program_findings",
 ]

@@ -12,7 +12,8 @@ the lattice
 from the stored c-tables and the declared c-variable domains, with
 widening at recursion so termination never depends on the data.
 
-Two derived analyses feed :mod:`repro.analysis.optimize`:
+Two derived analyses feed the F016–F020 lint findings of
+:mod:`repro.analysis.optimize`:
 
 * :func:`analyze` — per-argument value facts plus the set of rules whose
   bodies provably can never match (the F016 "unreachable under domains"
@@ -22,9 +23,8 @@ Two derived analyses feed :mod:`repro.analysis.optimize`:
   single-variable atoms against constants, its declared values partition
   into equivalence classes with identical satisfaction vectors, and one
   representative per class suffices to preserve every SAT / validity /
-  entailment verdict the solver will ever be asked for (the narrowed
-  :class:`~repro.solver.domains.FiniteDomain` is what the evaluator's
-  solver then enumerates over).
+  entailment verdict the solver will ever be asked for (F018 reports
+  the shrinkage; F016/F017 classify conditions over the narrowed map).
 
 Soundness is one-sided everywhere, exactly as in
 :mod:`repro.analysis.abstract`: the abstraction may say "don't know"

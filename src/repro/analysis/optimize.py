@@ -1,141 +1,46 @@
-"""The static optimizer: narrow domains, slice rules, pre-classify conditions.
+"""Whole-program lint findings F016–F020.
 
 Consumes the whole-program facts of :mod:`repro.analysis.dataflow` and
-derives the three sound transformations of ROADMAP items 2–3:
+reports what they prove about a program, as plain diagnostics:
 
-1. **domain narrowing** — the solver the evaluator runs with is rebuilt
-   over :func:`~repro.analysis.dataflow.narrow_domains`' map, so
-   enumeration and fast-path candidate spaces start small;
-2. **query-driven relevance slicing** — a magic-set-style backward pass
-   over the dependency graph drops rules that provably cannot reach any
-   requested output (F019), and rules whose bodies or closed condition
-   conjuncts are statically false are deactivated outright (F016);
-3. **static condition classification** — each rule's closed condition
-   conjuncts are tagged ``static-true`` / ``static-false`` /
-   ``fast-path`` / ``residue`` once, and a :class:`ConditionPrecheck`
-   lets the evaluator discharge per-tuple verdicts through the same
-   sound semi-decision procedure without a solver call.
+* **F016** — a rule can never contribute: its closed condition conjuncts
+  are statically false, or its body can never match under the inferred
+  argument values;
+* **F017** — a closed condition conjunct is vacuous (holds in every
+  world);
+* **F018** — a condition-only c-variable's domain collapses to fewer
+  distinguishable values under the program's atoms;
+* **F019** — a rule cannot reach any requested output (magic-set-style
+  backward reachability over the dependency graph);
+* **F020** — the dataflow fixpoint widened an argument slot.
 
-Soundness contract (gated by ``tests/analysis/test_dataflow_oracle.py``
-exactly like PRs 2/4/7): with the optimizer on or off, rendered results
-are byte-identical.  Two mechanisms make that hold:
-
-* every static verdict comes from the one-sided provers
-  (:func:`~repro.solver.atoms.fast_sat` and friends) over the narrowed
-  map, whose verdicts provably coincide with the solver's;
-* fault-injection schedules are *call-indexed*, so every transformation
-  that changes the solver call sequence (prechecks, rule deactivation)
-  stands down when the governor carries an armed
-  :class:`~repro.robustness.faultinject.FaultInjector` — narrowing, which
-  preserves the call sequence verbatim, stays on.  See
-  :func:`sequence_transforms_allowed`.
+Closed conjuncts are tagged ``static-true`` / ``static-false`` /
+``fast-path`` / ``residue`` by :func:`classify_rule` through the one-sided
+semi-decision procedures of :mod:`repro.solver.atoms`, whose definite
+verdicts provably coincide with the solver's.  The findings describe the
+program only; evaluation never consults them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Set, Tuple
 
 from ..ctable.condition import Condition, TRUE, conjoin
 from ..ctable.table import Database
-from ..ctable.terms import CVariable, Constant
 from ..faurelog.ast import Program, ProgramError, Rule
-from ..robustness.governor import Governor
-from ..solver.atoms import fast_implies, fast_sat
+from ..solver.atoms import fast_sat
 from ..solver.domains import DomainMap
-from .dataflow import DataflowResult, NarrowingResult, analyze, narrow_domains
+from .dataflow import DataflowResult, analyze, narrow_domains
 from .diagnostics import Diagnostic
 from .passes import rule_name
 
 __all__ = [
     "ConjunctClass",
     "RuleClassification",
-    "ConditionPrecheck",
-    "OptimizationResult",
-    "optimize_program",
-    "sequence_transforms_allowed",
+    "classify_rule",
+    "whole_program_findings",
 ]
-
-
-def sequence_transforms_allowed(governor: Optional[Governor]) -> bool:
-    """May call-sequence-changing transformations run under this governor?
-
-    Deterministic fault injection fires on solver-call *indices*; a
-    transformation that removes calls would shift every later fault to a
-    different call, so replayed chaos runs would diverge.  Prechecks and
-    rule deactivation therefore stand down when an injector is armed;
-    domain narrowing (same calls, same order) stays active.
-    """
-    return governor is None or governor.injector is None
-
-
-class ConditionPrecheck:
-    """Sound solver-free verdicts for runtime conditions, with a cache.
-
-    Wraps the tier-0 semi-decision procedures over the (possibly
-    narrowed) domain map.  ``True``/``False`` answers are definite and
-    provably agree with the full solver; ``None`` sends the caller to
-    the solver unchanged.  Unlike solver calls, hits here consume no
-    governor budget and count no ``SolverStats`` decisions — that is the
-    point: re-discovery per tuple is skipped.
-    """
-
-    __slots__ = ("domains", "sat_hits", "implies_hits", "misses", "_sat_cache", "_implies_cache")
-
-    def __init__(self, domains: DomainMap) -> None:
-        self.domains = domains
-        self.sat_hits = 0
-        self.implies_hits = 0
-        self.misses = 0
-        self._sat_cache: Dict[Condition, Optional[bool]] = {}
-        self._implies_cache: Dict[Tuple[Condition, Condition], Optional[bool]] = {}
-
-    def sat_hint(self, condition: Condition) -> Optional[bool]:
-        """Definite satisfiability, or ``None`` when undecided statically."""
-        try:
-            hint = self._sat_cache.get(condition, _MISSING)
-        except TypeError:  # pragma: no cover - unhashable payloads
-            hint = _MISSING
-        if hint is _MISSING:
-            hint = fast_sat(condition, self.domains)
-            try:
-                self._sat_cache[condition] = hint
-            except TypeError:  # pragma: no cover
-                pass
-        if hint is None:
-            self.misses += 1
-        else:
-            self.sat_hits += 1
-        return hint
-
-    def implies_hint(self, antecedent: Condition, consequent: Condition) -> Optional[bool]:
-        """Definite entailment, or ``None`` when undecided statically."""
-        key = (antecedent, consequent)
-        try:
-            hint = self._implies_cache.get(key, _MISSING)
-        except TypeError:  # pragma: no cover
-            hint = _MISSING
-        if hint is _MISSING:
-            hint = fast_implies(antecedent, consequent, self.domains)
-            try:
-                self._implies_cache[key] = hint
-            except TypeError:  # pragma: no cover
-                pass
-        if hint is None:
-            self.misses += 1
-        else:
-            self.implies_hits += 1
-        return hint
-
-    def counters(self) -> Dict[str, int]:
-        return {
-            "sat_hits": self.sat_hits,
-            "implies_hits": self.implies_hits,
-            "misses": self.misses,
-        }
-
-
-_MISSING: Optional[bool] = object()  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -194,7 +99,8 @@ def _closed_conjuncts(rule: Rule) -> List[Condition]:
     return out
 
 
-def _classify_rule(rule: Rule, domains: DomainMap) -> RuleClassification:
+def classify_rule(rule: Rule, domains: DomainMap) -> RuleClassification:
+    """Tag each of ``rule``'s closed condition conjuncts under ``domains``."""
     conjuncts: List[ConjunctClass] = []
     overall = "data-only"
     for condition in _closed_conjuncts(rule):
@@ -224,88 +130,6 @@ def _classify_rule(rule: Rule, domains: DomainMap) -> RuleClassification:
     return RuleClassification(rule=rule, conjuncts=tuple(conjuncts), tag=overall)
 
 
-@dataclass
-class OptimizationResult:
-    """Everything the pre-evaluation pass derived.
-
-    ``program`` is the input program, untouched.  ``sliced`` drops only
-    query-irrelevant rules (safe to *evaluate* — callers print requested
-    outputs only); statically-false rules stay in the program so empty
-    IDB tables keep existing, and are skipped via ``inactive`` instead.
-    """
-
-    program: Program
-    sliced: Program
-    narrowing: NarrowingResult
-    dataflow: DataflowResult
-    classifications: List[RuleClassification]
-    #: Indices (into ``sliced``'s rule list) of deactivated rules.
-    inactive: FrozenSet[int]
-    #: Rules dropped from ``sliced`` by query relevance (F019).
-    sliced_rules: List[Rule]
-    #: Rules deactivated as statically false / unmatchable (F016).
-    eliminated_rules: List[Rule]
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-    precheck: Optional[ConditionPrecheck] = None
-
-    @property
-    def narrowed(self) -> DomainMap:
-        """The narrowed domain map (the declared map when nothing shrank)."""
-        return self.narrowing.domains
-
-    def precheck_for(self, governor: Optional[Governor]) -> Optional[ConditionPrecheck]:
-        """The runtime precheck, or ``None`` when it must stand down."""
-        if not sequence_transforms_allowed(governor):
-            return None
-        return self.precheck
-
-    def inactive_for(self, governor: Optional[Governor]) -> FrozenSet[int]:
-        """Deactivated rule indices, or none when they must stand down."""
-        if not sequence_transforms_allowed(governor):
-            return frozenset()
-        return self.inactive
-
-    def summary_counts(self) -> Dict[str, int]:
-        tags: Dict[str, int] = {}
-        for cls in self.classifications:
-            for conjunct in cls.conjuncts:
-                tags[conjunct.tag] = tags.get(conjunct.tag, 0) + 1
-        return {
-            "narrowed_domains": len(self.narrowing.narrowed),
-            "sliced_rules": len(self.sliced_rules),
-            "eliminated_rules": len(self.eliminated_rules),
-            "static_true": tags.get("static-true", 0),
-            "static_false": tags.get("static-false", 0),
-            "fast_path": tags.get("fast-path", 0),
-            "residue": tags.get("residue", 0),
-        }
-
-    def describe(self) -> str:
-        """Human-readable plan section (EXPLAIN / ``--optimize-report``)."""
-        lines: List[str] = []
-        if self.narrowing.narrowed:
-            parts = ", ".join(
-                f"{name} {before}→{after}"
-                for name, (before, after) in sorted(self.narrowing.narrowed.items())
-            )
-            lines.append(f"[optimize] narrowed {len(self.narrowing.narrowed)} domain(s): {parts}")
-        if self.sliced_rules:
-            names = ", ".join(rule_name(r) for r in self.sliced_rules)
-            lines.append(f"[optimize] sliced {len(self.sliced_rules)} rule(s) irrelevant to the query: {names}")
-        if self.eliminated_rules:
-            names = ", ".join(rule_name(r) for r in self.eliminated_rules)
-            lines.append(f"[optimize] deactivated {len(self.eliminated_rules)} statically-false rule(s): {names}")
-        counts = self.summary_counts()
-        lines.append(
-            "[optimize] conjuncts: {static_true} static-true, {static_false} static-false, "
-            "{fast_path} fast-path, {residue} residue".format(**counts)
-        )
-        if self.dataflow.widened:
-            slots = ", ".join(f"{p}[{i}]" for p, i in sorted(self.dataflow.widened))
-            lines.append(f"[optimize] widening applied at: {slots}")
-        return "\n".join(lines)
-
-
 def _relevant_predicates(program: Program, outputs: Iterable[str]) -> Set[str]:
     """Outputs plus everything they transitively depend on (magic-set
     style backward reachability over the dependency graph)."""
@@ -323,19 +147,18 @@ def _relevant_predicates(program: Program, outputs: Iterable[str]) -> Set[str]:
     return relevant
 
 
-def optimize_program(
+def whole_program_findings(
     program: Program,
     database: Database,
     domains: DomainMap,
     outputs: Optional[Iterable[str]] = None,
-) -> OptimizationResult:
-    """Run the whole pre-evaluation pass and package the transformations.
+) -> List[Diagnostic]:
+    """The F016–F020 findings for ``program`` over ``database``.
 
-    ``outputs`` enables query-driven relevance slicing; without it every
-    rule is considered relevant (the caller asked for everything).  The
-    pass never raises on analyzable programs; unstratifiable or
-    otherwise unevaluable programs yield a no-op result (the evaluator
-    will report the real error).
+    ``outputs`` enables relevance slicing (F019), and F016/F017 then cover
+    only the rules that reach an output; without it every rule is
+    relevant.  Unstratifiable programs get no dataflow facts (the
+    evaluator reports the real error).
     """
     diagnostics: List[Diagnostic] = []
 
@@ -345,7 +168,6 @@ def optimize_program(
         flow = DataflowResult()
 
     narrowing = narrow_domains(program, database, domains)
-    narrowed = narrowing.domains
     for name, (before, after) in sorted(narrowing.narrowed.items()):
         diagnostics.append(
             Diagnostic.make(
@@ -365,44 +187,34 @@ def optimize_program(
 
     # -- relevance slicing (F019) --------------------------------------
     output_list = list(outputs) if outputs is not None else None
-    sliced_rules: List[Rule] = []
+    relevant_rules: List[Rule] = list(program)
     if output_list:
         relevant = _relevant_predicates(program, output_list)
-        kept = []
+        relevant_rules = []
         for rule in program:
             if rule.head.predicate in relevant:
-                kept.append(rule)
-            else:
-                sliced_rules.append(rule)
-                diagnostics.append(
-                    Diagnostic.make(
-                        "F019",
-                        f"rule sliced: {rule.head.predicate} cannot reach "
-                        f"output(s) {', '.join(sorted(output_list))}",
-                        span=rule.span,
-                        rule=rule_name(rule),
-                    )
+                relevant_rules.append(rule)
+                continue
+            diagnostics.append(
+                Diagnostic.make(
+                    "F019",
+                    f"rule sliced: {rule.head.predicate} cannot reach "
+                    f"output(s) {', '.join(sorted(output_list))}",
+                    span=rule.span,
+                    rule=rule_name(rule),
                 )
-        sliced = Program(kept, check_arities=False, source=program.source) if sliced_rules else program
-    else:
-        sliced = program
+            )
 
-    # -- static classification + deactivation (F016/F017) -------------
-    classifications: List[RuleClassification] = []
-    inactive: Set[int] = set()
-    eliminated: List[Rule] = []
+    # -- dead rules and vacuous conjuncts (F016/F017) ------------------
     unreachable = {id(r) for r in flow.unreachable}
-    for index, rule in enumerate(sliced):
-        cls = _classify_rule(rule, narrowed)
-        classifications.append(cls)
+    for rule in relevant_rules:
+        cls = classify_rule(rule, narrowing.domains)
         reason: Optional[str] = None
         if cls.statically_false:
             reason = "its condition is unsatisfiable under the declared domains"
         elif id(rule) in unreachable:
             reason = "its body can never match under the inferred argument values"
         if reason is not None:
-            inactive.add(index)
-            eliminated.append(rule)
             diagnostics.append(
                 Diagnostic.make(
                     "F016",
@@ -423,15 +235,4 @@ def optimize_program(
                     )
                 )
 
-    return OptimizationResult(
-        program=program,
-        sliced=sliced,
-        narrowing=narrowing,
-        dataflow=flow,
-        classifications=classifications,
-        inactive=frozenset(inactive),
-        sliced_rules=sliced_rules,
-        eliminated_rules=eliminated,
-        diagnostics=diagnostics,
-        precheck=ConditionPrecheck(narrowed),
-    )
+    return diagnostics

@@ -117,14 +117,6 @@ def _add_governor_args(parser: argparse.ArgumentParser) -> None:
         "solver decision routes to enumeration/DPLL; verdicts identical)",
     )
     parser.add_argument(
-        "--optimize",
-        action="store_true",
-        help="run the whole-program static optimizer before evaluation: "
-        "narrow domains, slice query-irrelevant rules, and pre-classify "
-        "condition conjuncts so statically decided verdicts skip the "
-        "solver (results byte-identical with or without)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -331,7 +323,6 @@ def _cmd_rib_analyze(args) -> int:
         per_flow=True,
         jobs=getattr(args, "jobs", 1),
         checkpoint=checkpoint,
-        optimize=getattr(args, "optimize", False),
     )
     try:
         reach = analyzer.compute()
@@ -374,32 +365,14 @@ def _cmd_query(args) -> int:
         text = args.program
     program = parse_program(text)
     governor = _governor_from_args(args)
-    effective_domains = domains
-    precheck = None
-    inactive = None
-    optimization = None
-    if getattr(args, "optimize", False):
-        from .analysis.optimize import optimize_program
-
-        optimization = optimize_program(
-            program, db, domains,
-            outputs=[args.output] if args.output else None,
-        )
-        program = optimization.sliced
-        effective_domains = optimization.narrowed
-        precheck = optimization.precheck_for(governor)
-        inactive = optimization.inactive_for(governor)
     solver = ConditionSolver(
-        effective_domains,
+        domains,
         governor=governor,
         memo=_memo_from_args(args),
         fast_path=_fast_path_from_args(args),
     )
     stats = EvalStats()
-    result = evaluate(
-        program, db, solver=solver, stats=stats,
-        precheck=precheck, inactive_rules=inactive,
-    )
+    result = evaluate(program, db, solver=solver, stats=stats)
     names = [args.output] if args.output else sorted(result.names())
     for name in names:
         print(result.table(name).pretty(max_rows=args.limit))
@@ -410,10 +383,6 @@ def _cmd_query(args) -> int:
         f"(sql {stats.sql_seconds:.3f}s, solver {stats.solver_seconds:.3f}s, "
         f"{stats.unknown_kept} kept-unknown){status}"
     )
-    if optimization is not None:
-        summary = optimization.describe()
-        if summary:
-            print(summary)
     _report_governor(governor)
     return 0
 
@@ -599,16 +568,15 @@ def _cmd_lint(args) -> int:
                     ignore=ignore or None,
                 )
             )
-            if getattr(args, "optimize_report", False):
-                findings.extend(
-                    _optimizer_findings(
-                        text,
-                        path,
-                        outputs=list(args.outputs or []) + pragmas["outputs"],
-                        select=args.select,
-                        ignore=ignore or None,
-                    )
+            findings.extend(
+                _whole_program_findings(
+                    text,
+                    path,
+                    outputs=list(args.outputs or []) + pragmas["outputs"],
+                    select=args.select,
+                    ignore=ignore or None,
                 )
+            )
         except ParseError as exc:
             print(f"{path}: error: {exc}", file=sys.stderr)
             parse_failed = True
@@ -624,37 +592,31 @@ def _cmd_lint(args) -> int:
     return 1 if errors else 0
 
 
-def _optimizer_findings(text, path, outputs=None, select=None, ignore=None):
-    """F016–F020 findings from the static optimizer (``--optimize-report``).
+def _whole_program_findings(text, path, outputs=None, select=None, ignore=None):
+    """F016–F020 findings of the whole-program dataflow analysis.
 
-    The optimizer needs a database for its EDB seeding; linting has none,
-    so the whole-program pass runs with an empty database and the
-    *declared* (unbounded-by-default) domains — exactly the subset of its
-    reasoning that depends on the program text alone.
+    The analysis seeds from a database; linting has none, so it runs
+    with an empty database and the *declared* (unbounded-by-default)
+    domains — exactly the subset of its reasoning that depends on the
+    program text alone.  Programs the evaluator would reject get none.
     """
-    from .analysis import filter_diagnostics
-    from .analysis.optimize import optimize_program
+    import dataclasses
+
+    from .analysis import filter_diagnostics, whole_program_findings
     from .ctable.table import Database
     from .faurelog.ast import ProgramError
-    from .faurelog.parser import parse_program
     from .solver.domains import DomainMap, Unbounded
 
     try:
-        program = parse_program(text)
-    except ParseError:
-        return []
-    try:
-        result = optimize_program(
-            program,
+        diagnostics = whole_program_findings(
+            parse_program(text),
             Database(),
             DomainMap(default=Unbounded("any")),
             outputs=outputs or None,
         )
-    except ProgramError:
+    except (ParseError, ProgramError):
         return []
-    import dataclasses
-
-    findings = [dataclasses.replace(d, file=path) for d in result.diagnostics]
+    findings = [dataclasses.replace(d, file=path) for d in diagnostics]
     return filter_diagnostics(findings, select=select, ignore=ignore)
 
 
@@ -675,7 +637,6 @@ def _cmd_serve(args) -> int:
     )
     state_kwargs = dict(
         budgets=budgets,
-        optimize=getattr(args, "optimize", False),
         compact_every=args.compact_every,
         compact_bytes=args.compact_bytes,
     )
@@ -962,13 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="refuse conditions with more atoms than this",
     )
-    serve.add_argument(
-        "--optimize",
-        action="store_true",
-        help="run the static optimizer over the resident program: "
-        "solver-free condition prechecks on the update path "
-        "(answers byte-identical)",
-    )
     serve_lifecycle = serve.add_argument_group(
         "log lifecycle (WAL compaction into seed snapshots)"
     )
@@ -1035,13 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: text); sarif emits a SARIF 2.1.0 "
         "log for CI annotation surfaces",
-    )
-    lint.add_argument(
-        "--optimize-report",
-        action="store_true",
-        help="also run the whole-program static optimizer and report its "
-        "F016-F020 findings (unreachable rules, vacuous conditions, "
-        "narrowed domains, query slicing, widening)",
     )
     lint.add_argument(
         "--select",

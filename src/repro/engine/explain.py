@@ -73,16 +73,12 @@ def _children(node: PlanNode) -> List[PlanNode]:
     return []
 
 
-def explain(plan: PlanNode, db: Database, solver=None, optimization=None) -> str:
+def explain(plan: PlanNode, db: Database, solver=None) -> str:
     """The operator tree, one node per line, children indented.
 
     With a ``solver``, a trailing ``[memo]`` line reports the shared
     verdict cache: hits/misses observed by this solver instance plus the
     process-wide entry/intern counts (omitted when memoization is off).
-    With an ``optimization`` (an
-    :class:`~repro.analysis.optimize.OptimizationResult`), trailing
-    ``[optimize]`` lines show the narrowed domains, sliced/deactivated
-    rules, and the static condition-conjunct classification.
     """
     from ..analysis.cost import estimate_rows  # local: avoids import cycle
 
@@ -119,6 +115,4 @@ def explain(plan: PlanNode, db: Database, solver=None, optimization=None) -> str
                 shared["interned"],
             )
         )
-    if optimization is not None:
-        lines.append(optimization.describe())
     return "\n".join(lines)

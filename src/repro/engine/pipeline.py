@@ -67,7 +67,6 @@ def solver_prune(
     stats: Optional[EvalStats] = None,
     jobs: int = 1,
     executor=None,
-    precheck=None,
 ) -> CTable:
     """Phase 3: drop tuples whose conditions are unsatisfiable.
 
@@ -81,12 +80,6 @@ def solver_prune(
     member tuples — and with ``jobs > 1`` residual undecided classes
     are sharded across a worker pool (:mod:`repro.parallel.batch`).
     The output table is identical for every ``jobs`` value.
-
-    With a ``precheck`` (:class:`~repro.analysis.optimize.ConditionPrecheck`),
-    statically classified conditions are decided without a solver call:
-    only the residue reaches the solver.  Definite precheck verdicts
-    provably agree with the solver's, and row order is preserved, so the
-    output is byte-identical with the precheck on or off.
     """
     from ..parallel.batch import prune_batched
 
@@ -94,32 +87,7 @@ def solver_prune(
     watch = Stopwatch()
     before = _memo_snapshot(solver)
     with watch.measure():
-        if precheck is not None:
-            hints = [precheck.sat_hint(tup.condition) for tup in table.tuples()]
-            residue = CTable(table.name, table.schema)
-            for tup, hint in zip(table.tuples(), hints):
-                if hint is None:
-                    residue.add(list(tup.values), tup.condition)
-            kept_residue = prune_batched(
-                residue, solver, stats, jobs=jobs, executor=executor
-            )
-            kept = {(t.values, t.condition) for t in kept_residue.tuples()}
-            out = CTable(table.name, table.schema)
-            for tup, hint in zip(table.tuples(), hints):
-                if hint is True:
-                    stats.extra["static_sat_hits"] = (
-                        stats.extra.get("static_sat_hits", 0) + 1
-                    )
-                    out.add(list(tup.values), tup.condition)
-                elif hint is False:
-                    stats.extra["static_unsat_hits"] = (
-                        stats.extra.get("static_unsat_hits", 0) + 1
-                    )
-                    stats.tuples_pruned += 1
-                elif (tup.values, tup.condition) in kept:
-                    out.add(list(tup.values), tup.condition)
-        else:
-            out = prune_batched(table, solver, stats, jobs=jobs, executor=executor)
+        out = prune_batched(table, solver, stats, jobs=jobs, executor=executor)
     stats.solver_seconds += watch.seconds
     _record_memo_delta(stats, solver, before)
     return out
@@ -132,7 +100,6 @@ def run_lazy(
     stats: Optional[EvalStats] = None,
     jobs: int = 1,
     executor=None,
-    precheck=None,
 ) -> Tuple[CTable, EvalStats]:
     """Phases 1–2 without pruning, then one final solver pass (phase 3)."""
     stats = stats if stats is not None else EvalStats()
@@ -143,9 +110,7 @@ def run_lazy(
 
         executor = SupervisedExecutor(jobs)
     raw = evaluate_plan(plan, db, solver=None, prune=False, stats=stats)
-    pruned = solver_prune(
-        raw, solver, stats, jobs=jobs, executor=executor, precheck=precheck
-    )
+    pruned = solver_prune(raw, solver, stats, jobs=jobs, executor=executor)
     return pruned, stats
 
 

@@ -20,10 +20,7 @@ same split Table 4 reports.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis imports ast)
-    from ..analysis.optimize import ConditionPrecheck
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..ctable.condition import Condition, FalseCond, TRUE, disjoin
 from ..ctable.table import CTable, CTuple, Database
@@ -93,7 +90,6 @@ class Fixpoint:
         solver: Optional[ConditionSolver],
         stats: EvalStats,
         governor: Optional[Governor] = None,
-        precheck: Optional["ConditionPrecheck"] = None,
         prune: bool = True,
         max_iterations: Optional[int] = None,
         provenance: Optional[List[Tuple[str, Tuple[Term, ...], Condition, Optional[str]]]] = None,
@@ -103,7 +99,6 @@ class Fixpoint:
         self.solver = solver
         self.stats = stats
         self.governor = governor
-        self.precheck = precheck
         self.prune = prune and solver is not None
         self.max_iterations = max_iterations
         self.provenance = provenance
@@ -118,26 +113,12 @@ class Fixpoint:
 
     # -- the per-tuple decisions ---------------------------------------------
 
-    def _count(self, hit: str) -> None:
-        self.stats.extra[hit] = self.stats.extra.get(hit, 0) + 1
-
     def _keep(self, condition: Condition) -> bool:
         if isinstance(condition, FalseCond):
             self.stats.tuples_pruned += 1
             return False
         if not self.prune:
             return True
-        if self.precheck is not None:
-            # Statically classified conditions skip the solver: True ⇒
-            # the solver would answer SAT (keep), False ⇒ UNSAT (prune).
-            hint = self.precheck.sat_hint(condition)
-            if hint is False:
-                self.stats.tuples_pruned += 1
-                self._count("static_unsat_hits")
-                return False
-            if hint is True:
-                self._count("static_sat_hits")
-                return True
         verdict = self.solver.sat_verdict(condition)
         if verdict is Verdict.UNSAT:
             self.stats.tuples_pruned += 1
@@ -166,15 +147,6 @@ class Fixpoint:
         disjoined = index.disjoined.get(key)
         if disjoined is None:
             disjoined = index.disjoined[key] = disjoin(existing)
-        if self.precheck is not None:
-            # The static classifier's entailment semi-decision is one-sided
-            # and provably agrees with the solver: True ⇒ the solver's
-            # verdict is TRUE (drop), False ⇒ it is FALSE (record).  Only
-            # None falls through to a (budgeted, counted) solver call.
-            hint = self.precheck.implies_hint(condition, disjoined)
-            if hint is not None:
-                self._count("static_implies_hits")
-                return not hint
         return solver.implies_verdict(condition, disjoined) is not Trivalent.TRUE
 
     def _insert(
@@ -304,8 +276,6 @@ class FaureEvaluator:
         storage: Optional[Storage] = None,
         record_provenance: bool = False,
         governor: Optional[Governor] = None,
-        precheck: Optional["ConditionPrecheck"] = None,
-        inactive_rules: Optional[Iterable[int]] = None,
     ):
         self.database = database
         self.solver = solver
@@ -316,18 +286,6 @@ class FaureEvaluator:
         self.governor = governor if governor is not None else (
             solver.governor if solver is not None else None
         )
-        #: Static optimizer hooks (``--optimize``): a solver-free
-        #: precheck for per-tuple sat/entailment, and rule indices the
-        #: optimizer proved can never contribute (kept in the program so
-        #: their head tables still materialize empty).  Both change the
-        #: solver *call sequence*, so they stand down when the governor
-        #: carries an armed fault injector — deterministic chaos
-        #: schedules are call-indexed and must see the original sequence.
-        self.precheck = precheck
-        self.inactive_rules: FrozenSet[int] = frozenset(inactive_rules or ())
-        if self.governor is not None and self.governor.injector is not None:
-            self.precheck = None
-            self.inactive_rules = frozenset()
         #: True when the last evaluation was cut short by a budget.
         self.partial = False
         #: (predicate, data part, condition, rule label) per derived tuple,
@@ -342,13 +300,12 @@ class FaureEvaluator:
 
     def core(self, storage: Storage) -> Fixpoint:
         """A fresh :class:`Fixpoint` over ``storage`` with this evaluator's
-        solver, stats, budgets and optimizer hooks."""
+        solver, stats and budgets."""
         return Fixpoint(
             storage,
             self.solver,
             self.stats,
             governor=self.governor,
-            precheck=self.precheck,
             prune=self.prune,
             max_iterations=self.max_iterations,
             provenance=self.provenance if self.record_provenance else None,
@@ -400,11 +357,7 @@ class FaureEvaluator:
                     fixpoint.track(table)
 
             for stratum in stratify(program):
-                fixpoint.run([
-                    r
-                    for index, r in enumerate(program)
-                    if r.head.predicate in stratum and index not in self.inactive_rules
-                ])
+                fixpoint.run([r for r in program if r.head.predicate in stratum])
         except BudgetExceeded:
             # Mid-iteration exhaustion: in degrade mode terminate with a
             # flagged partial result (the finally below restores the EDB
@@ -428,8 +381,6 @@ def evaluate(
     max_iterations: Optional[int] = None,
     prune: bool = True,
     governor: Optional[Governor] = None,
-    precheck: Optional["ConditionPrecheck"] = None,
-    inactive_rules: Optional[Iterable[int]] = None,
 ) -> Database:
     """One-shot convenience wrapper around :class:`FaureEvaluator`.
 
@@ -442,8 +393,6 @@ def evaluate(
         max_iterations=max_iterations,
         prune=prune,
         governor=governor,
-        precheck=precheck,
-        inactive_rules=inactive_rules,
     )
     result = evaluator.evaluate(program)
     if stats is not None:

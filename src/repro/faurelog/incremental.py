@@ -25,12 +25,9 @@ path from the touched relation) are rejected.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 import networkx as nx
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..analysis.optimize import ConditionPrecheck
 
 from ..ctable.condition import Condition, TRUE
 from ..ctable.table import CTable, CTuple, Database
@@ -58,7 +55,6 @@ class IncrementalEvaluator:
         program: Program,
         database: Database,
         solver: Optional[ConditionSolver] = None,
-        precheck: Optional["ConditionPrecheck"] = None,
         restored_idb: Optional[Database] = None,
     ):
         self.program = program
@@ -66,7 +62,7 @@ class IncrementalEvaluator:
         self.solver = solver
         self._rules = list(program)
         self._graph = dependency_graph(program)
-        evaluator = FaureEvaluator(database, solver=solver, precheck=precheck)
+        evaluator = FaureEvaluator(database, solver=solver)
         self.stats = evaluator.stats
         if restored_idb is None:
             self.result = evaluator.evaluate(program)

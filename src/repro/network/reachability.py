@@ -55,15 +55,12 @@ def run_pattern_query(
     per_flow: bool,
     query: PatternQuery,
     storage=None,
-    precheck=None,
 ) -> Tuple[CTable, EvalStats]:
     """Evaluate one pattern query over a computed reachability database.
 
     Module-level (rather than a method) so worker processes can run it
     against initializer-shipped state; :meth:`ReachabilityAnalyzer.
-    under_pattern` is a thin wrapper over it.  ``precheck`` is the
-    static optimizer's solver-free condition classifier (``--optimize``);
-    the evaluator stands it down itself under fault injection.
+    under_pattern` is a thin wrapper over it.
     """
     args: List = []
     if per_flow:
@@ -74,9 +71,7 @@ def run_pattern_query(
     if query.pattern is not TRUE:
         body.append(query.pattern)
     rule = Rule(Atom(query.name, args), body)
-    evaluator = FaureEvaluator(
-        reach_db, solver=solver, storage=storage, precheck=precheck
-    )
+    evaluator = FaureEvaluator(reach_db, solver=solver, storage=storage)
     before = _memo_snapshot(solver) if solver is not None else None
     result = evaluator.evaluate(Program([rule]))
     if before is not None:
@@ -152,21 +147,11 @@ class ReachabilityAnalyzer:
         per_flow: bool = False,
         jobs: int = 1,
         checkpoint=None,
-        optimize: bool = False,
     ):
         self.database = database
         self.solver = solver
         self.forwarding = forwarding
         self.per_flow = per_flow
-        #: ``--optimize``: a shared solver-free condition precheck over
-        #: the solver's domain map; per-tuple sat/entailment decisions
-        #: the static classifier can discharge never reach the solver.
-        self.optimize = bool(optimize)
-        self._precheck = None
-        if self.optimize:
-            from ..analysis.optimize import ConditionPrecheck
-
-            self._precheck = ConditionPrecheck(solver.domains)
         #: Default worker count for :meth:`under_patterns` fan-out.
         self.jobs = max(1, int(jobs))
         #: Optional :class:`~repro.robustness.checkpoint.CheckpointJournal`;
@@ -201,9 +186,7 @@ class ReachabilityAnalyzer:
                 return self._reach_db.table("R")
 
         program = reachability_program(self.forwarding, "R", self.per_flow)
-        evaluator = FaureEvaluator(
-            self.database, solver=self.solver, precheck=self._precheck
-        )
+        evaluator = FaureEvaluator(self.database, solver=self.solver)
         before = _memo_snapshot(self.solver) if self.solver is not None else None
         self._reach_db = evaluator.evaluate(program)
         if before is not None:
@@ -251,7 +234,7 @@ class ReachabilityAnalyzer:
         query = PatternQuery(pattern, name=name, source=source, dest=dest, flow=flow)
         table, stats = run_pattern_query(
             self._reach_db, self.solver, self.per_flow, query,
-            storage=self._reach_storage, precheck=self._precheck,
+            storage=self._reach_storage,
         )
         self.stats.add(stats)
         return table, stats
@@ -376,7 +359,6 @@ class ReachabilityAnalyzer:
                 self.solver.enumeration_limit,
                 self.solver.memo is not None,
                 self.solver.fast_path,
-                self.optimize,
                 session.handle(reads) if session is not None else None,
                 self.solver.memo._entries
                 if reads and self.solver.memo is not None

@@ -54,8 +54,7 @@ fresh chance at a real answer, mirroring the memo's own contract.
 sequence.  Store *reads* can (a served verdict skips a governed solver
 call), so reads are enabled only for ungoverned runs — any armed
 governor (deadline, budgets, fault injector) stands the read side down,
-exactly like the static optimizer's precheck stands down under an armed
-injector.  Governed runs therefore stay byte-identical to ``jobs=1``
+because fault-injection schedules are indexed by solver call.  Governed runs therefore stay byte-identical to ``jobs=1``
 including their governor event ledgers and fault-injection schedules,
 while the common ungoverned benchmark path gets the full sharing win
 (identical *answers* either way; exactness guarantees that).

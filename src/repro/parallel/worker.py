@@ -244,7 +244,6 @@ _PATTERN_STATE: Dict[str, Any] = {}
 def init_pattern_worker(reach_db, domains, per_flow: bool,
                         spec: Optional[GovernorSpec], enumeration_limit: int,
                         memo_enabled: bool, fast_path: bool = True,
-                        optimize: bool = False,
                         store: Optional[StoreHandle] = None,
                         memo_seed: Optional[Dict] = None,
                         storage=None) -> None:
@@ -252,14 +251,6 @@ def init_pattern_worker(reach_db, domains, per_flow: bool,
 
     _use_worker_clock()
 
-    precheck = None
-    if optimize:
-        # Worker-private static precheck (caches cannot cross processes);
-        # the evaluator stands it down itself when the rebuilt governor
-        # carries a fault injector.
-        from ..analysis.optimize import ConditionPrecheck
-
-        precheck = ConditionPrecheck(domains)
     opened = _open_store(store)
     _PATTERN_STATE.update(
         reach_db=reach_db,
@@ -274,7 +265,6 @@ def init_pattern_worker(reach_db, domains, per_flow: bool,
         store=opened,
         memo=_worker_memo(memo_enabled, opened, memo_seed),
         fast_path=fast_path,
-        precheck=precheck,
     )
 
 
@@ -306,7 +296,6 @@ def run_pattern_task(task) -> Dict[str, Any]:
         _PATTERN_STATE["per_flow"],
         task,
         storage=_PATTERN_STATE["storage"],
-        precheck=_PATTERN_STATE.get("precheck"),
     )
     return {
         "table": table,

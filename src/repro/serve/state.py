@@ -165,14 +165,12 @@ class ServeState:
         database_text: str,
         wal_path: str,
         budgets: Optional[ServeBudgets] = None,
-        optimize: bool = False,
         compact_every: Optional[int] = None,
         compact_bytes: Optional[int] = None,
     ):
         self.program_text = program_text
         self.database_text = database_text
         self.budgets = budgets or ServeBudgets()
-        self.optimize = optimize
         self.compact_every = compact_every
         self.compact_bytes = compact_bytes
         self.program = parse_program(program_text)
@@ -253,21 +251,10 @@ class ServeState:
         solver = ConditionSolver(
             domains, governor=self._update_governor, memo=self._memo
         )
-        precheck = None
-        if self.optimize:
-            # The optimizer's precheck gives per-update sat/entailment
-            # verdicts without solver calls.  Replay
-            # runs the identical optimized path, so recovered answers stay
-            # byte-identical to the uninterrupted run's.
-            from ..analysis.optimize import optimize_program
-
-            optimization = optimize_program(self.program, database, domains)
-            precheck = optimization.precheck_for(self._update_governor)
         self.evaluator = IncrementalEvaluator(
             self.program,
             database,
             solver=solver,
-            precheck=precheck,
             restored_idb=restored_idb,
         )
         for entry in self.wal.entries():

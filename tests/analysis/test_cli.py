@@ -135,18 +135,7 @@ class TestSarifFormat:
         assert run["results"] == []
         assert {r["id"] for r in run["tool"]["driver"]["rules"]} >= {"F001", "F016"}
 
-    def test_optimize_report_flags_dead_rule(self, tmp_path, capsys):
-        text = (
-            "% edb: A\n% outputs: Out\n"
-            "q1: Out(x) :- A(x).\n"
-            "q2: Out(x) :- A(x), $u = 1, $u != 1.\n"
-        )
-        path = self.write(tmp_path, text)
-        main(["lint", path, "--optimize-report"])
-        out = capsys.readouterr().out
-        assert "F016" in out
-
-    def test_optimize_report_off_by_default(self, tmp_path, capsys):
+    def test_plain_lint_reports_f016(self, tmp_path, capsys):
         text = (
             "% edb: A\n% outputs: Out\n"
             "q1: Out(x) :- A(x).\n"
@@ -154,7 +143,13 @@ class TestSarifFormat:
         )
         path = self.write(tmp_path, text)
         main(["lint", path])
-        assert "F016" not in capsys.readouterr().out
+        assert "F016" in capsys.readouterr().out
+
+    def test_optimize_report_flag_rejected(self, tmp_path):
+        path = self.write(tmp_path, "% edb: A\nq1: Out(x) :- A(x).\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", path, "--optimize-report"])
+        assert exc.value.code == 2
 
 
 class TestBundledProgramGate:
