@@ -27,7 +27,6 @@ from typing import List
 
 import pytest
 
-from repro.ctable.condition import Condition, LinearAtom
 from repro.engine.stats import EvalStats
 from repro.network.reachability import PatternQuery, ReachabilityAnalyzer
 from repro.solver.interface import ConditionSolver

@@ -245,11 +245,12 @@ def main(argv=None) -> int:
             json.load(handle)
         print(f"wrote {path} ({len(payload['rows'])} rows)")
 
+    # Every gate is evaluated and every failure printed before exiting:
+    # a failing --jobs gate must not hide the correctness gates below it.
+    failures = []
     parallel = reports["BENCH_parallel.json"]
     if not parallel["tuple_counts_agree"]:
-        for line in parallel["tuple_mismatches"]:
-            print(f"MISMATCH: {line}", file=sys.stderr)
-        return 1
+        failures += [f"MISMATCH: {line}" for line in parallel["tuple_mismatches"]]
     rows = parallel["rows"]
     serial_by = {
         (r["query"], r["prefixes"]): r for r in rows if r["jobs"] == 1
@@ -263,10 +264,10 @@ def main(argv=None) -> int:
         default=1.0,
     )
     print(
-        f"serial/parallel tuple counts agree; best q6-q8 speedup "
-        f"{best:.2f}x at jobs={jobs} on a {parallel['cpu_count']}-cpu host"
+        f"serial/parallel tuple counts "
+        f"{'agree' if parallel['tuple_counts_agree'] else 'DISAGREE'}; best q6-q8 "
+        f"speedup {best:.2f}x at jobs={jobs} on a {parallel['cpu_count']}-cpu host"
     )
-    failures = []
     # Gate: two workers must never make things *worse* than serial by
     # more than 25% (plus a small absolute slack so sub-second smoke
     # runs don't gate on scheduler noise).  On a host with ≥2 CPUs the
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
         )
         if p_cost > 1.25 * s_cost + 0.5:
             failures.append(
-                f"jobs=2 q6-q8 {metric} {p_cost:.2f}s exceeds "
+                f"FAIL: jobs=2 q6-q8 {metric} {p_cost:.2f}s exceeds "
                 f"1.25x serial ({s_cost:.2f}s)"
             )
         print(
@@ -296,7 +297,7 @@ def main(argv=None) -> int:
     # Gate: with real cores available, the fan-out must actually win.
     if (parallel["cpu_count"] or 1) >= 2 and best < 1.5:
         failures.append(
-            f"best q6-q8 speedup {best:.2f}x < 1.5x on a "
+            f"FAIL: best q6-q8 speedup {best:.2f}x < 1.5x on a "
             f"{parallel['cpu_count']}-cpu host"
         )
     # Gate: the workers' *summed* solver CPU at the deepest job level
@@ -311,8 +312,8 @@ def main(argv=None) -> int:
             s_solver = serial_by[(row["query"], row["prefixes"])]["solver_s"]
             if row["solver_s"] > 1.5 * s_solver + 0.05:
                 failures.append(
-                    f"{row['query']}@{row['prefixes']}: jobs={deepest} summed "
-                    f"solver_s {row['solver_s']:.3f} exceeds 1.5x serial "
+                    f"FAIL: {row['query']}@{row['prefixes']}: jobs={deepest} "
+                    f"summed solver_s {row['solver_s']:.3f} exceeds 1.5x serial "
                     f"({s_solver:.3f})"
                 )
         print(
@@ -321,18 +322,12 @@ def main(argv=None) -> int:
             if not any("summed" in f for f in failures)
             else "cpu accounting gate: FAILING"
         )
-    if failures:
-        for line in failures:
-            print(f"FAIL: {line}", file=sys.stderr)
-        return 1
     incremental = reports["BENCH_incremental.json"]
     if not incremental["final_tuples_agree"]:
-        print(
+        failures.append(
             "MISMATCH: incremental maintenance and recompute-from-scratch "
-            "disagree on the final R cardinality",
-            file=sys.stderr,
+            "disagree on the final R cardinality"
         )
-        return 1
     print(
         f"incremental maintenance: {incremental['events']} events, "
         f"p50 update latency {incremental['update_latency_p50_s']}s, "
@@ -340,27 +335,26 @@ def main(argv=None) -> int:
     )
     serve = reports["BENCH_serve.json"]
     if not serve["restart_rows_agree"]:
-        print(
+        failures.append(
             "MISMATCH: serve daemon cold restart (snapshot + WAL-suffix "
-            "replay) diverged from the live daemon's row projection",
-            file=sys.stderr,
+            "replay) diverged from the live daemon's row projection"
         )
-        return 1
     if not serve["wal_bounded"]:
-        print(
+        failures.append(
             f"FAIL: serve WAL unbounded after threshold compaction "
-            f"({serve['wal_entries']} live entries)",
-            file=sys.stderr,
+            f"({serve['wal_entries']} live entries)"
         )
-        return 1
     print(
         f"serve stress: {serve['clients']} clients, query p50 "
         f"{serve['query_p50_s']}s / p99 {serve['query_p99_s']}s, "
         f"{serve['ingest_per_s']:.0f} acked updates/s, "
         f"shed rate {serve['shed_rate']:.1%}, "
-        f"{serve['compactions']} compactions, restart byte-identical"
+        f"{serve['compactions']} compactions, restart "
+        f"{'byte-identical' if serve['restart_rows_agree'] else 'DIVERGED'}"
     )
-    return 0
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

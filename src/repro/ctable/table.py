@@ -40,6 +40,16 @@ class CTuple(SlotPickleMixin):
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("CTuple is immutable")
 
+    @classmethod
+    def of_terms(cls, values: Tuple[Term, ...], condition: Condition) -> "CTuple":
+        """A tuple over checked values: a tuple of constants and
+        c-variables, and a :class:`Condition` (no coercion, no checks)."""
+        tup = object.__new__(cls)
+        object.__setattr__(tup, "values", values)
+        object.__setattr__(tup, "condition", condition)
+        object.__setattr__(tup, "_hash", None)
+        return tup
+
     @property
     def arity(self) -> int:
         return len(self.values)

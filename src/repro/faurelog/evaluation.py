@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..ctable.condition import Condition, FalseCond, TRUE, disjoin
+from ..ctable.condition import Condition, FalseCond, TRUE, disjoin_distinct, disjuncts
 from ..ctable.table import CTable, CTuple, Database
 from ..ctable.terms import Term
 from ..engine.stats import EvalStats, phase_clock
@@ -42,30 +42,33 @@ class _ConditionIndex:
     """Per-relation map: data part → conditions recorded so far.
 
     Recorded originals are what end up in the result table, so output
-    stays byte-identical with memoization on or off.  The ordered list
-    feeds :func:`disjoin` (and so the dedup query); a set beside it
-    answers "already recorded" without a scan, and ``covered`` holds the
-    keys recorded under ``TRUE``.
+    stays byte-identical with memoization on or off.  ``members`` answers
+    "already recorded" without a scan, ``covered`` holds the keys
+    recorded under ``TRUE``, and ``disjoined`` is the dedup query's
+    disjunction of each key's conditions in record order.
     """
 
     def __init__(self) -> None:
-        self.by_key: Dict[Tuple[Term, ...], List[Condition]] = {}
         self.members: Dict[Tuple[Term, ...], Set[Condition]] = {}
         self.covered: Set[Tuple[Term, ...]] = set()
-        # Cache of disjoin(existing) per key, invalidated on record():
-        # dedup runs once per derived tuple, so rebuilding the
-        # disjunction each time dominates its cost on wide keys.
         self.disjoined: Dict[Tuple[Term, ...], Condition] = {}
+        # The disjunction's children (an ordered set) for keys with two
+        # or more conditions: record() extends it by one operand instead
+        # of rebuilding the disjunction over every condition.
+        self.disjuncts: Dict[Tuple[Term, ...], Dict[Condition, None]] = {}
 
     def record(self, key: Tuple[Term, ...], condition: Condition) -> None:
-        existing = self.by_key.get(key)
-        if existing is None:
-            self.by_key[key] = [condition]
+        members = self.members.get(key)
+        if members is None:
             self.members[key] = {condition}
+            self.disjoined[key] = condition  # disjoin([c]) is structurally c
         else:
-            existing.append(condition)
-            self.members[key].add(condition)
-            self.disjoined.pop(key, None)
+            members.add(condition)
+            children = self.disjuncts.get(key)
+            if children is None:
+                children = self.disjuncts[key] = dict.fromkeys(disjuncts(self.disjoined[key]))
+            children.update(dict.fromkeys(disjuncts(condition)))
+            self.disjoined[key] = disjoin_distinct(children)
         if condition is TRUE:
             self.covered.add(key)
 
@@ -128,13 +131,11 @@ class Fixpoint:
             self.stats.unknown_kept += 1
         return True
 
-    def _is_new(
-        self, index: _ConditionIndex, key: Tuple[Term, ...], condition: Condition
-    ) -> bool:
-        existing = index.by_key.get(key)
-        if existing is None:
+    def _is_new(self, index: _ConditionIndex, key: Tuple[Term, ...], condition: Condition) -> bool:
+        members = index.members.get(key)
+        if members is None:
             return True
-        if key in index.covered or condition in index.members[key]:
+        if key in index.covered or condition in members:
             return False
         solver = self.solver
         if solver is None:
@@ -144,35 +145,7 @@ class Fixpoint:
         # treats the tuple as new — recording a redundant condition is
         # sound (possible worlds are unchanged), dropping a novel one
         # would lose worlds.
-        disjoined = index.disjoined.get(key)
-        if disjoined is None:
-            disjoined = index.disjoined[key] = disjoin(existing)
-        return solver.implies_verdict(condition, disjoined) is not Trivalent.TRUE
-
-    def _insert(
-        self, rule: Rule, values: Tuple[Term, ...], condition: Condition
-    ) -> Optional[CTuple]:
-        """Keep, dedup and store one derivation; returns the stored row.
-
-        The one :class:`CTuple` built here is what the storage table, its
-        indexes and the round's delta table all hold.
-        """
-        predicate = rule.head.predicate
-        index = self.indexes[predicate]
-        # Solver time (Table 4's split) covers the whole keep/dedup step.
-        start = phase_clock()
-        try:
-            if not (self._keep(condition) and self._is_new(index, values, condition)):
-                return None
-        finally:
-            self.stats.solver_seconds += phase_clock() - start
-        index.record(values, condition)
-        tup = CTuple(values, condition)
-        self.storage.indexed(predicate).add(tup)
-        self.stats.tuples_generated += 1
-        if self.provenance is not None:
-            self.provenance.append((predicate, values, condition, rule.label))
-        return tup
+        return solver.implies_verdict(condition, index.disjoined[key]) is not Trivalent.TRUE
 
     # -- the rounds ------------------------------------------------------------
 
@@ -207,19 +180,13 @@ class Fixpoint:
                 # mid-insert, so tables stay internally consistent.
                 self.governor.check_deadline()
             if self.max_iterations is not None and iteration > self.max_iterations:
-                raise ProgramError(
-                    f"fixpoint exceeded {self.max_iterations} iterations"
-                )
+                raise ProgramError(f"fixpoint exceeded {self.max_iterations} iterations")
             delta = self._empty_delta(heads)
             for rule in rules:
                 for position, literal in enumerate(rule.positive_literals()):
                     if literal.predicate in delta_indexed:
-                        self._fire(rule, delta, derive(
-                            rule,
-                            self.storage,
-                            delta_override=delta_indexed,
-                            delta_position=position,
-                        ))
+                        derivations = derive(rule, self.storage, None, delta_indexed, position)
+                        self._fire(rule, delta, derivations)
             iteration += 1
             self.stats.iterations += 1
         return self.stats.tuples_generated - generated
@@ -227,17 +194,34 @@ class Fixpoint:
     def _empty_delta(self, heads: Iterable[str]) -> Dict[str, CTable]:
         return {p: CTable(p, self.storage.db.table(p).schema) for p in heads}
 
-    def _fire(
-        self,
-        rule: Rule,
-        delta: Dict[str, CTable],
-        derivations: Iterable[Tuple[Dict, Condition]],
-    ) -> None:
-        bucket = delta[rule.head.predicate]
+    def _fire(self, rule: Rule, delta: Dict[str, CTable], derivations: Iterable) -> None:
+        """Keep, dedup and store each derivation of ``rule``.
+
+        The one :class:`CTuple` built per stored row is what the storage
+        table, its indexes and the round's delta table all hold.
+        """
+        predicate = rule.head.predicate
+        bucket = delta[predicate]
+        index = self.indexes[predicate]
+        table = self.storage.indexed(predicate)
+        stats = self.stats
         for bindings, condition in derivations:
-            tup = self._insert(rule, build_head(rule, bindings), condition)
-            if tup is not None:
-                bucket.add(tup)
+            values = build_head(rule, bindings)
+            # Solver time (Table 4's split) covers the whole keep/dedup step.
+            start = phase_clock()
+            try:
+                new = self._keep(condition) and self._is_new(index, values, condition)
+            finally:
+                stats.solver_seconds += phase_clock() - start
+            if not new:
+                continue
+            index.record(values, condition)
+            tup = CTuple.of_terms(values, condition)
+            table.add(tup)
+            bucket.add(tup)
+            stats.tuples_generated += 1
+            if self.provenance is not None:
+                self.provenance.append((predicate, values, condition, rule.label))
 
 
 class FaureEvaluator:

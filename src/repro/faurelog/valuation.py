@@ -19,13 +19,13 @@ with bindings substituted in.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from ..ctable.condition import Comparison, Condition, FALSE, FalseCond, TRUE, conjoin
-from ..ctable.table import CTuple
+from ..ctable.condition import FALSE, Comparison, Condition, FalseCond, LinearAtom, TRUE, conjoin
 from ..ctable.terms import Constant, CVariable, Term, Variable
 from ..engine.storage import IndexedTable, Storage
-from .ast import Atom, Literal, ProgramError, Rule
+from .ast import Literal, ProgramError, Rule
 
 __all__ = ["Bindings", "Derivation", "derive", "build_head", "unify_value", "negation_condition"]
 
@@ -48,52 +48,7 @@ def unify_value(value: Term, entry: Term) -> Optional[Condition]:
     if isinstance(value, Constant) and isinstance(entry, Constant):
         return None
     cond = Comparison(value, "=", entry).constant_fold()
-    if isinstance(cond, FalseCond):
-        return None
-    return cond
-
-
-def _match_tuple(
-    atom: Atom,
-    tup: CTuple,
-    bindings: Bindings,
-) -> Optional[Tuple[Bindings, List[Condition]]]:
-    """Match one atom against one tuple under current bindings.
-
-    Returns extended bindings and the equality conditions generated by
-    implicit pattern matching, or ``None`` on mismatch.
-    """
-    new_bindings = dict(bindings)
-    conditions: List[Condition] = []
-    for term, entry in zip(atom.terms, tup.values):
-        if isinstance(term, (Variable, CVariable)):
-            bound = new_bindings.get(term)
-            if bound is None:
-                new_bindings[term] = entry
-                continue
-            cond = unify_value(bound, entry)
-        else:
-            cond = unify_value(term, entry)
-        if cond is None:
-            return None
-        if cond is not TRUE:
-            conditions.append(cond)
-    return new_bindings, conditions
-
-
-def _resolve(term: Term, bindings: Bindings) -> Term:
-    if isinstance(term, (Variable, CVariable)):
-        return bindings.get(term, term)
-    return term
-
-
-def _probe_pattern(atom: Atom, bindings: Bindings) -> List[Optional[Constant]]:
-    """Constant positions usable for index probing."""
-    pattern: List[Optional[Constant]] = []
-    for term in atom.terms:
-        resolved = _resolve(term, bindings)
-        pattern.append(resolved if isinstance(resolved, Constant) else None)
-    return pattern
+    return None if isinstance(cond, FalseCond) else cond
 
 
 def negation_condition(
@@ -110,178 +65,241 @@ def negation_condition(
     """
     if table is None:
         return TRUE
-    resolved = [_resolve(t, bindings) for t in literal.atom.terms]
+    resolved = [bindings.get(t, t) for t in literal.atom.terms]
     for t in resolved:
         if isinstance(t, Variable):
-            raise ProgramError(
-                f"negated literal {literal} has unbound variable {t}"
-            )
+            raise ProgramError(f"negated literal {literal} has unbound variable {t}")
+    annotation = [] if literal.annotation is TRUE else [literal.annotation.substitute(bindings)]
     parts: List[Condition] = []
     pattern = [t if isinstance(t, Constant) else None for t in resolved]
     for tup in table.candidates(pattern):
-        eqs: List[Condition] = []
-        dead = False
-        for value, entry in zip(resolved, tup.values):
-            cond = unify_value(value, entry)
-            if cond is None:
-                dead = True
-                break
-            if cond is not TRUE:
-                eqs.append(cond)
-        if dead:
-            continue
-        match_cond = conjoin(
-            eqs
-            + [tup.condition]
-            + ([literal.annotation.substitute(bindings)] if literal.annotation is not TRUE else [])
-        )
-        if isinstance(match_cond, FalseCond):
-            continue
-        parts.append(match_cond.negate())
+        eqs = [unify_value(value, entry) for value, entry in zip(resolved, tup.values)]
+        match_cond = FALSE if None in eqs else conjoin(eqs + [tup.condition] + annotation)
+        if not isinstance(match_cond, FalseCond):
+            parts.append(match_cond.negate())
     return conjoin(parts)
 
 
-def _comparison_ready(condition: Condition, bindings: Bindings, bindable) -> bool:
-    """A comparison fires once its bindable symbols are all bound.
-
-    Program variables always bind; a c-variable binds when it occurs in a
-    positive atom position of the rule (``bindable``) — otherwise it is a
-    global reference and never blocks firing.
-    """
-    from ..ctable.condition import LinearAtom
-
+def _symbols(condition: Condition) -> List[BindKey]:
+    """The program variables and c-variables ``condition`` mentions."""
+    out: Dict[BindKey, None] = {}  # an ordered set
     for atom in condition.atoms():
         if isinstance(atom, Comparison):
-            sides = (atom.lhs, atom.rhs)
-        elif isinstance(atom, LinearAtom):
-            sides = tuple(v for v, _ in atom.coeffs)
+            sides = [atom.lhs, atom.rhs]
         else:
-            continue
-        for t in sides:
-            if isinstance(t, Variable) and t not in bindings:
-                return False
-            if isinstance(t, CVariable) and t in bindable and t not in bindings:
-                return False
-    return True
+            sides = [v for v, _ in atom.coeffs] if isinstance(atom, LinearAtom) else []
+        out.update((t, None) for t in sides if isinstance(t, (Variable, CVariable)))
+    return list(out)
 
 
-def _instantiation_score(literal: Literal, bindings: Bindings) -> int:
-    score = 0
-    for term in literal.atom.terms:
-        resolved = _resolve(term, bindings)
-        if isinstance(resolved, Constant):
-            score += 2
-        elif isinstance(resolved, CVariable):
-            score += 1
-    return score
+def _weight(value: Term) -> int:
+    """A resolved term's share of a literal's instantiation score."""
+    return 2 if isinstance(value, Constant) else 1 if isinstance(value, CVariable) else 0
 
 
-class _BodySearch:
-    """The depth-first body match behind one :func:`derive` call.
+class _Node:
+    """The body search after matching the positive literals ``path``, in
+    order, which bind the slots ``bound``; ``names`` pairs each bound
+    symbol with its slot in bind order, ``fire`` holds the comparisons
+    readied on the way in.  An inner node has its next ``step`` or run-time
+    ``choices``; a leaf ends with ``pending`` (never-ready comparisons),
+    then the negations, and is ``simple`` when it has neither."""
 
-    An object rather than a recursive closure: a closure that calls
-    itself references itself through its cell, and that cycle would keep
-    the storage, its indexes and the delta tables alive after evaluation
-    until a full garbage collection ran.
-    """
+    __slots__ = (
+        "path", "bound", "names", "fire", "pending", "leaf", "simple", "step", "choices", "steps"
+    )
 
-    __slots__ = ("storage", "delta_override", "delta_position", "negatives", "bindable")
 
-    def __init__(
-        self,
-        rule: Rule,
-        storage: Storage,
-        delta_override: Optional[Dict[str, IndexedTable]],
-        delta_position: Optional[int],
-    ):
-        self.storage = storage
-        self.delta_override = delta_override
-        self.delta_position = delta_position
-        self.negatives = list(rule.negative_literals())
-        self.bindable = rule.bindable_cvariables()
+class _Step:
+    """One positive literal compiled against what is bound before it."""
 
-    def table_for(self, index: int, literal: Literal) -> Optional[IndexedTable]:
-        name = literal.predicate
-        if index == self.delta_position:
-            if self.delta_override is None or name not in self.delta_override:
-                return None
-            return self.delta_override[name]
-        if name in self.storage:
-            return self.storage.indexed(name)
-        return None
+    __slots__ = ("index", "pattern", "probes", "binds", "checks", "readers", "child")
 
-    def search(
-        self,
-        remaining: List[Tuple[int, Literal]],
-        bindings: Bindings,
-        conds: List[Condition],
-        pending_cmps: List[Condition],
-    ) -> Iterator[Derivation]:
-        # Fire any comparison whose variables are now bound.
-        conds = list(conds)
-        still_pending: List[Condition] = []
-        for comparison in pending_cmps:
-            if _comparison_ready(comparison, bindings, self.bindable):
-                instantiated = comparison.substitute(bindings)
-                if isinstance(instantiated, FalseCond):
-                    return
-                if instantiated is not TRUE:
-                    conds.append(instantiated)
+
+class _Plan:
+    """The compiled body search behind one :func:`derive` call.
+
+    Every program symbol and atom constant owns a slot of ``vals``.  A
+    step binds entries to slots, checks entries against slots in column
+    order, and fills its bound columns (``probes``) into a probe pattern
+    that holds the atom's constants.  An object, not a recursive closure:
+    a closure that calls itself references itself through its cell, and
+    that cycle would keep the storage, its indexes and the delta tables
+    alive after evaluation until a full garbage collection."""
+
+    __slots__ = ("literals", "columns", "tables", "negatives", "delta", "fixed", "vals", "root")
+
+    def __init__(self, rule, storage, initial, delta_override, delta_position):
+        def table(name: str) -> Optional[IndexedTable]:
+            return storage.indexed(name) if name in storage else None
+
+        self.literals = list(rule.positive_literals())
+        deltas = delta_override or {}
+        self.tables = [
+            deltas.get(lit.predicate) if i == delta_position else table(lit.predicate)
+            for i, lit in enumerate(self.literals)
+        ]
+        self.root = None
+        if None in self.tables:
+            return  # no derivation can complete: compile nothing
+        self.negatives = [(lit, table(lit.predicate)) for lit in rule.negative_literals()]
+        self.delta, self.fixed = delta_position, len(initial)
+        self.vals: List[Optional[Term]] = list(initial.values())
+        # Per literal: (column, slot or None for a constant, term).  Bound
+        # sets below hold slots, so compiling hashes each symbol once.
+        slots: Dict[BindKey, int] = {key: i for i, key in enumerate(initial)}
+        self.columns = []
+        for lit in self.literals:
+            self.columns.append([])
+            for col, term in enumerate(lit.atom.terms):
+                if isinstance(term, (Variable, CVariable)) and term not in slots:
+                    slots[term] = len(self.vals)
+                    self.vals.append(None)
+                self.columns[-1].append((col, slots.get(term), term))
+        # A comparison is ready once its program variables and its
+        # c-variables in positive atoms are bound (-1: a variable no atom
+        # binds); other c-variables are global references.
+        comparisons = []
+        for comparison in rule.comparisons():
+            symbols = _symbols(comparison)
+            needs = {slots.get(t, -1) for t in symbols if isinstance(t, Variable)}
+            needs.update(slots[t] for t in symbols if slots.get(t, -1) >= self.fixed)
+            pairs = [(t, slots[t]) for t in symbols if t in slots]
+            comparisons.append((comparison, pairs, frozenset(needs)))
+        names = [(key, i) for i, key in enumerate(initial)]
+        self.root = self._node((), frozenset(range(self.fixed)), names, comparisons)
+
+    def _node(self, path, bound, names, pending) -> _Node:
+        node = _Node()
+        node.path, node.bound, node.names, node.fire, node.pending = path, bound, names, [], []
+        for comparison, pairs, needs in pending:
+            if needs <= bound:
+                node.fire.append((comparison, pairs))
             else:
-                still_pending.append(comparison)
-        if not remaining:
+                node.pending.append((comparison, pairs, needs))
+        node.leaf = len(path) == len(self.literals)
+        node.simple = node.leaf and not node.pending and not self.negatives
+        node.step, node.choices, node.steps = None, [], {}
+        remaining = [i for i in range(len(self.columns)) if i not in path]
+        if len(remaining) == 1:
+            node.step = self._step(node, remaining[0])
+            return node
+        # The greedy key is (instantiation score, reads the delta), first
+        # maximum wins; a slot bound from a stored entry scores 2 or 1.
+        for i in remaining:
+            base, slots = 0, []
+            for _, slot, term in self.columns[i]:
+                if slot in bound and slot >= self.fixed:
+                    slots.append(slot)
+                else:
+                    base += _weight(self.vals[slot] if slot in bound else term)
+            node.choices.append((i, base, slots, i == self.delta))
+        low = [(base + len(slots), d) for _, base, slots, d in node.choices]
+        high = [(base + 2 * len(slots), d) for _, base, slots, d in node.choices]
+        for k, choice in enumerate(node.choices):
+            if all(h < low[k] for h in high[:k]) and all(h <= low[k] for h in high[k + 1:]):
+                node.step = self._step(node, choice[0])  # decided statically
+                break
+        return node
+
+    def _step(self, node: _Node, index: int) -> _Step:
+        step, columns = _Step(), self.columns[index]
+        step.index, step.pattern = index, [None] * len(columns)
+        step.probes, step.binds, step.checks = [], [], []
+        bound, names = set(node.bound), list(node.names)
+        for col, slot, term in columns:
+            if slot is None:
+                step.pattern[col] = term
+                step.checks.append((col, len(self.vals)))
+                self.vals.append(term)
+            elif slot in bound:
+                if slot in node.bound:
+                    step.probes.append((col, slot))
+                step.checks.append((col, slot))
+            else:
+                bound.add(slot)
+                names.append((term, slot))
+                step.binds.append((col, slot))
+        step.child = self._node(node.path + (index,), frozenset(bound), names, node.pending)
+        # Per match: the literal's annotation, then the comparisons it readies.
+        annotation = self.literals[index].annotation
+        wanted = _symbols(annotation)
+        step.readers = [] if annotation is TRUE else [
+            (annotation, [(t, slot) for t, slot in names if t in wanted])
+        ]
+        step.readers += step.child.fire
+        return step
+
+    def _choose(self, node: _Node) -> _Step:
+        best = best_key = None
+        for index, base, slots, is_delta in node.choices:
+            key = (base + sum(_weight(self.vals[slot]) for slot in slots), is_delta)
+            if best_key is None or key > best_key:
+                best, best_key = index, key
+        if best not in node.steps:
+            node.steps[best] = self._step(node, best)
+        return node.steps[best]
+
+    def add(self, readers, conds: List[Condition]) -> bool:
+        """Append each instantiated condition; False once one is FALSE."""
+        for condition, pairs in readers:
+            instantiated = condition.substitute({key: self.vals[slot] for key, slot in pairs})
+            if isinstance(instantiated, FalseCond):
+                return False
+            if instantiated is not TRUE:
+                conds.append(instantiated)
+        return True
+
+    def search(self, node: _Node, conds: List[Condition]) -> Iterator[Derivation]:
+        """Derivations below ``node``, whose comparisons have fired;
+        ``conds`` holds the path's conjuncts and is restored on return."""
+        vals = self.vals
+        if node.leaf:
+            bindings = {key: vals[slot] for key, slot in node.names}
+            mark = len(conds)
             # Negations last (their variables are bound by safety).
-            final_conds = list(conds)
-            for comparison in still_pending:
-                instantiated = comparison.substitute(bindings)
-                if isinstance(instantiated, FalseCond):
-                    return
-                if instantiated is not TRUE:
-                    final_conds.append(instantiated)
-            storage = self.storage
-            for negated in self.negatives:
-                table = (
-                    storage.indexed(negated.predicate)
-                    if negated.predicate in storage
-                    else None
-                )
-                neg_cond = negation_condition(negated, table, bindings)
-                if isinstance(neg_cond, FalseCond):
-                    return
-                if neg_cond is not TRUE:
-                    final_conds.append(neg_cond)
-            yield dict(bindings), conjoin(final_conds)
+            for late in chain(
+                (comparison.substitute(bindings) for comparison, _, _ in node.pending),
+                (negation_condition(lit, table, bindings) for lit, table in self.negatives),
+            ):
+                if isinstance(late, FalseCond):
+                    break
+                if late is not TRUE:
+                    conds.append(late)
+            else:
+                yield bindings, conjoin(conds)
+            del conds[mark:]
             return
-        # Greedy choice: most instantiated literal next; on a tie, the
-        # one reading the semi-naive delta (the standard semi-naive
-        # order: the delta drives, the full relations are probed).
-        best_i = 0
-        if len(remaining) > 1:
-            best_key = None
-            for i, (index, literal) in enumerate(remaining):
-                key = (_instantiation_score(literal, bindings), index == self.delta_position)
-                if best_key is None or key > best_key:
-                    best_i, best_key = i, key
-        index, literal = remaining[best_i]
-        rest = remaining[:best_i] + remaining[best_i + 1:]
-        table = self.table_for(index, literal)
-        if table is None:
-            return
-        annotation = literal.annotation
-        pattern = _probe_pattern(literal.atom, bindings)
-        for tup in table.candidates(pattern):
-            match = _match_tuple(literal.atom, tup, bindings)
-            if match is None:
-                continue
-            new_bindings, eq_conds = match
-            tuple_conds = eq_conds + [tup.condition]
-            if annotation is not TRUE:
-                instantiated = annotation.substitute(new_bindings)
-                if isinstance(instantiated, FalseCond):
+        step = node.step or self._choose(node)
+        pattern = step.pattern[:] if step.probes else step.pattern
+        for col, slot in step.probes:
+            if isinstance(vals[slot], Constant):
+                pattern[col] = vals[slot]
+        binds, checks, readers, child = step.binds, step.checks, step.readers, step.child
+        names = child.names
+        mark = len(conds)
+        for tup in self.tables[step.index].candidates(pattern):
+            del conds[mark:]
+            values = tup.values
+            for col, slot in binds:
+                vals[slot] = values[col]
+            for col, slot in checks:
+                want, entry = vals[slot], values[col]
+                if want is not entry and want != entry:
+                    cond = unify_value(want, entry)
+                    if cond is None:
+                        break
+                    conds.append(cond)
+            else:
+                conds.append(tup.condition)
+                if readers and not self.add(readers, conds):
                     continue
-                if instantiated is not TRUE:
-                    tuple_conds.append(instantiated)
-            yield from self.search(rest, new_bindings, conds + tuple_conds, still_pending)
+                if child.simple:  # the last literal: yield in place, conjoin([c]) is c
+                    condition = conds[0] if len(conds) == 1 else conjoin(conds)
+                    yield {key: vals[slot] for key, slot in names}, condition
+                else:
+                    yield from self.search(child, conds)
+        del conds[mark:]
 
 
 def derive(
@@ -302,15 +320,14 @@ def derive(
     the delta literal first among equals); comparison atoms and negated
     literals fire as soon as their program variables are bound, pruning
     early.  Each literal probes its table's index on every column its
-    bindings fix.
+    bindings fix.  The body is compiled into a :class:`_Plan` per call:
+    the order is fixed at compile time wherever binding kinds cannot
+    change the greedy choice, and scored at run time elsewhere.
     """
-    body = _BodySearch(rule, storage, delta_override, delta_position)
-    yield from body.search(
-        list(enumerate(rule.positive_literals())),
-        dict(initial_bindings or {}),
-        [],
-        list(rule.comparisons()),
-    )
+    plan = _Plan(rule, storage, initial_bindings or {}, delta_override, delta_position)
+    conds: List[Condition] = []
+    if plan.root is not None and plan.add(plan.root.fire, conds):
+        yield from plan.search(plan.root, conds)
 
 
 def build_head(rule: Rule, bindings: Bindings) -> Tuple[Term, ...]:
@@ -320,10 +337,8 @@ def build_head(rule: Rule, bindings: Bindings) -> Tuple[Term, ...]:
     unbound head program variables are a safety violation caught at rule
     construction.
     """
-    values: List[Term] = []
-    for term in rule.head.terms:
-        resolved = _resolve(term, bindings)
-        if isinstance(resolved, Variable):
-            raise ProgramError(f"head variable {resolved} unbound in {rule}")
-        values.append(resolved)
-    return tuple(values)
+    values = tuple([bindings.get(term, term) for term in rule.head.terms])
+    for value in values:
+        if isinstance(value, Variable):
+            raise ProgramError(f"head variable {value} unbound in {rule}")
+    return values

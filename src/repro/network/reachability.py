@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..ctable.condition import Condition, LinearAtom, TRUE, conjoin, eq
-from ..ctable.table import CTable, CTuple, Database
+from ..ctable.condition import Condition, LinearAtom, TRUE
+from ..ctable.table import CTable, Database
 from ..ctable.terms import Constant, CVariable
 from ..engine.pipeline import _memo_snapshot, _record_memo_delta
 from ..engine.stats import EvalStats
