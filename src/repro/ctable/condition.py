@@ -50,8 +50,6 @@ __all__ = [
     "ge",
     "conjoin",
     "disjoin",
-    "disjoin_distinct",
-    "disjuncts",
 ]
 
 #: Comparison operators in canonical spelling.
@@ -825,32 +823,6 @@ def disjoin(conditions: Iterable[Condition]) -> Condition:
         return merged.children[0]
     if any(isinstance(c, TrueCond) for c in merged.children):
         return TRUE
-    return merged
-
-
-def disjuncts(condition: Condition) -> Tuple[Condition, ...]:
-    """What :func:`disjoin` flattens one operand into: nothing for
-    ``FALSE``, the children of an :class:`Or`, else the operand itself."""
-    if isinstance(condition, FalseCond):
-        return ()
-    if type(condition) is Or:
-        return condition.children
-    return (condition,)
-
-
-def disjoin_distinct(children) -> Condition:
-    """:func:`disjoin` of operands whose :func:`disjuncts`, deduplicated
-    in order, are ``children`` — a dict (or other ordered collection with
-    hashed membership) — without redoing the flattening pass.  Lets a
-    caller extend a disjunction by one operand at the cost of a copy."""
-    if TRUE in children:
-        return TRUE
-    if len(children) < 2:
-        return next(iter(children), FALSE)
-    merged = object.__new__(Or)
-    object.__setattr__(merged, "children", tuple(children))
-    object.__setattr__(merged, "_hash", None)
-    object.__setattr__(merged, "_cvars", None)
     return merged
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..ctable.condition import Condition, FalseCond, TRUE, disjoin_distinct, disjuncts
+from ..ctable.condition import Condition, FalseCond, TRUE, disjoin
 from ..ctable.table import CTable, CTuple, Database
 from ..ctable.terms import Term
 from ..engine.stats import EvalStats, phase_clock
@@ -52,10 +52,6 @@ class _ConditionIndex:
         self.members: Dict[Tuple[Term, ...], Set[Condition]] = {}
         self.covered: Set[Tuple[Term, ...]] = set()
         self.disjoined: Dict[Tuple[Term, ...], Condition] = {}
-        # The disjunction's children (an ordered set) for keys with two
-        # or more conditions: record() extends it by one operand instead
-        # of rebuilding the disjunction over every condition.
-        self.disjuncts: Dict[Tuple[Term, ...], Dict[Condition, None]] = {}
 
     def record(self, key: Tuple[Term, ...], condition: Condition) -> None:
         members = self.members.get(key)
@@ -64,11 +60,9 @@ class _ConditionIndex:
             self.disjoined[key] = condition  # disjoin([c]) is structurally c
         else:
             members.add(condition)
-            children = self.disjuncts.get(key)
-            if children is None:
-                children = self.disjuncts[key] = dict.fromkeys(disjuncts(self.disjoined[key]))
-            children.update(dict.fromkeys(disjuncts(condition)))
-            self.disjoined[key] = disjoin_distinct(children)
+            # disjoin flattens and dedups in order, so extending by one
+            # operand gives the children a rebuild over every condition would.
+            self.disjoined[key] = disjoin((self.disjoined[key], condition))
         if condition is TRUE:
             self.covered.add(key)
 
@@ -131,7 +125,9 @@ class Fixpoint:
             self.stats.unknown_kept += 1
         return True
 
-    def _is_new(self, index: _ConditionIndex, key: Tuple[Term, ...], condition: Condition) -> bool:
+    def _is_new(
+        self, index: _ConditionIndex, key: Tuple[Term, ...], condition: Condition
+    ) -> bool:
         members = index.members.get(key)
         if members is None:
             return True
@@ -180,13 +176,19 @@ class Fixpoint:
                 # mid-insert, so tables stay internally consistent.
                 self.governor.check_deadline()
             if self.max_iterations is not None and iteration > self.max_iterations:
-                raise ProgramError(f"fixpoint exceeded {self.max_iterations} iterations")
+                raise ProgramError(
+                    f"fixpoint exceeded {self.max_iterations} iterations"
+                )
             delta = self._empty_delta(heads)
             for rule in rules:
                 for position, literal in enumerate(rule.positive_literals()):
                     if literal.predicate in delta_indexed:
-                        derivations = derive(rule, self.storage, None, delta_indexed, position)
-                        self._fire(rule, delta, derivations)
+                        self._fire(rule, delta, derive(
+                            rule,
+                            self.storage,
+                            delta_override=delta_indexed,
+                            delta_position=position,
+                        ))
             iteration += 1
             self.stats.iterations += 1
         return self.stats.tuples_generated - generated
@@ -194,7 +196,12 @@ class Fixpoint:
     def _empty_delta(self, heads: Iterable[str]) -> Dict[str, CTable]:
         return {p: CTable(p, self.storage.db.table(p).schema) for p in heads}
 
-    def _fire(self, rule: Rule, delta: Dict[str, CTable], derivations: Iterable) -> None:
+    def _fire(
+        self,
+        rule: Rule,
+        delta: Dict[str, CTable],
+        derivations: Iterable[Tuple[Dict, Condition]],
+    ) -> None:
         """Keep, dedup and store each derivation of ``rule``.
 
         The one :class:`CTuple` built per stored row is what the storage

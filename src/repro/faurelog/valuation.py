@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from ..ctable.condition import FALSE, Comparison, Condition, FalseCond, LinearAtom, TRUE, conjoin
+from ..ctable.condition import Comparison, Condition, FalseCond, LinearAtom, TRUE, conjoin
 from ..ctable.terms import Constant, CVariable, Term, Variable
 from ..engine.storage import IndexedTable, Storage
 from .ast import Literal, ProgramError, Rule
@@ -48,7 +48,15 @@ def unify_value(value: Term, entry: Term) -> Optional[Condition]:
     if isinstance(value, Constant) and isinstance(entry, Constant):
         return None
     cond = Comparison(value, "=", entry).constant_fold()
-    return None if isinstance(cond, FalseCond) else cond
+    if isinstance(cond, FalseCond):
+        return None
+    return cond
+
+
+def _resolve(term: Term, bindings: Bindings) -> Term:
+    if isinstance(term, (Variable, CVariable)):
+        return bindings.get(term, term)
+    return term
 
 
 def negation_condition(
@@ -65,18 +73,34 @@ def negation_condition(
     """
     if table is None:
         return TRUE
-    resolved = [bindings.get(t, t) for t in literal.atom.terms]
+    resolved = [_resolve(t, bindings) for t in literal.atom.terms]
     for t in resolved:
         if isinstance(t, Variable):
-            raise ProgramError(f"negated literal {literal} has unbound variable {t}")
-    annotation = [] if literal.annotation is TRUE else [literal.annotation.substitute(bindings)]
+            raise ProgramError(
+                f"negated literal {literal} has unbound variable {t}"
+            )
     parts: List[Condition] = []
     pattern = [t if isinstance(t, Constant) else None for t in resolved]
     for tup in table.candidates(pattern):
-        eqs = [unify_value(value, entry) for value, entry in zip(resolved, tup.values)]
-        match_cond = FALSE if None in eqs else conjoin(eqs + [tup.condition] + annotation)
-        if not isinstance(match_cond, FalseCond):
-            parts.append(match_cond.negate())
+        eqs: List[Condition] = []
+        dead = False
+        for value, entry in zip(resolved, tup.values):
+            cond = unify_value(value, entry)
+            if cond is None:
+                dead = True
+                break
+            if cond is not TRUE:
+                eqs.append(cond)
+        if dead:
+            continue
+        match_cond = conjoin(
+            eqs
+            + [tup.condition]
+            + ([literal.annotation.substitute(bindings)] if literal.annotation is not TRUE else [])
+        )
+        if isinstance(match_cond, FalseCond):
+            continue
+        parts.append(match_cond.negate())
     return conjoin(parts)
 
 
@@ -194,12 +218,6 @@ class _Plan:
                 else:
                     base += _weight(self.vals[slot] if slot in bound else term)
             node.choices.append((i, base, slots, i == self.delta))
-        low = [(base + len(slots), d) for _, base, slots, d in node.choices]
-        high = [(base + 2 * len(slots), d) for _, base, slots, d in node.choices]
-        for k, choice in enumerate(node.choices):
-            if all(h < low[k] for h in high[:k]) and all(h <= low[k] for h in high[k + 1:]):
-                node.step = self._step(node, choice[0])  # decided statically
-                break
         return node
 
     def _step(self, node: _Node, index: int) -> _Step:
@@ -320,9 +338,9 @@ def derive(
     the delta literal first among equals); comparison atoms and negated
     literals fire as soon as their program variables are bound, pruning
     early.  Each literal probes its table's index on every column its
-    bindings fix.  The body is compiled into a :class:`_Plan` per call:
-    the order is fixed at compile time wherever binding kinds cannot
-    change the greedy choice, and scored at run time elsewhere.
+    bindings fix.  The body is compiled into a :class:`_Plan` per call;
+    with two or more literals left the choice is scored from the slots at
+    run time, and each node compiles the step it picks once.
     """
     plan = _Plan(rule, storage, initial_bindings or {}, delta_override, delta_position)
     conds: List[Condition] = []
@@ -337,8 +355,10 @@ def build_head(rule: Rule, bindings: Bindings) -> Tuple[Term, ...]:
     unbound head program variables are a safety violation caught at rule
     construction.
     """
-    values = tuple([bindings.get(term, term) for term in rule.head.terms])
-    for value in values:
-        if isinstance(value, Variable):
-            raise ProgramError(f"head variable {value} unbound in {rule}")
-    return values
+    values: List[Term] = []
+    for term in rule.head.terms:
+        resolved = _resolve(term, bindings)
+        if isinstance(resolved, Variable):
+            raise ProgramError(f"head variable {resolved} unbound in {rule}")
+        values.append(resolved)
+    return tuple(values)

@@ -483,25 +483,10 @@ def test_greedy_order_flips_on_binding_kind():
     want = _stream(reference_derive, rule, Storage(db))
     assert want and _stream(valuation.derive, rule, Storage(db)) == want
     plan = valuation._Plan(rule, Storage(db), {}, None, None)
-    after_p = plan.root.step.child
-    assert plan.root.step.index == 0 and after_p.step is None  # decided at run time
     list(plan.search(plan.root, []))
+    assert set(plan.root.steps) == {0}  # P first, scored at run time
+    after_p = plan.root.steps[0].child
     assert set(after_p.steps) == {1, 2}  # both orders were taken
-
-
-def test_static_order_for_the_reachability_join():
-    """q5 needs no run-time choice at any delta position."""
-    f, n1, n2, n3 = (Variable(n) for n in ("f", "n1", "n2", "n3"))
-    rule = Rule(
-        Atom("R", [f, n1, n2]),
-        [Literal(Atom("F", [f, n1, n3])), Literal(Atom("R", [f, n3, n2]))],
-    )
-    db = Database()
-    deltas = {name: IndexedTable(db.create_table(name, ["f", "a", "b"])) for name in "FR"}
-    for position, first in ((None, 0), (0, 0), (1, 1)):
-        plan = valuation._Plan(rule, Storage(db), {}, deltas, position)
-        assert plan.root.step.index == first
-        assert plan.root.step.child.step is not None
 
 
 # -- mutants the comparison must catch ---------------------------------------
