@@ -7,7 +7,7 @@
 PYTHON ?= python3
 RUN = PYTHONPATH=src $(PYTHON)
 
-.PHONY: install test test-oracle test-robustness test-chaos test-serve test-replication bench bench-memo bench-incremental bench-serve bench-tables bench-smoke bench-parallel test-dataflow examples lint-programs lint-sarif typecheck lint-self clean
+.PHONY: install test test-oracle test-robustness test-chaos test-serve test-replication bench bench-memo bench-incremental bench-serve bench-tables bench-smoke test-dataflow examples lint-programs lint-sarif typecheck lint-self clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -24,9 +24,9 @@ test-oracle:
 test-robustness:
 	$(RUN) -m pytest tests/robustness/ -q
 
-# supervised-execution chaos suite: SIGKILLed workers, hung tasks,
-# kill-mid-checkpoint resume — every run must stay byte-identical to a
-# clean serial one (see docs/ROBUSTNESS.md)
+# chaos suite: kill-mid-checkpoint resume, serve and replication
+# kills — every recovered run must stay byte-identical to a clean one
+# (see docs/ROBUSTNESS.md)
 test-chaos:
 	$(RUN) -m pytest tests/chaos/ -q
 
@@ -63,8 +63,8 @@ bench-serve:
 	$(RUN) benchmarks/bench_serve.py
 
 # the paper's tables/figures in their printed layout, plus the
-# machine-readable BENCH_table4.json / BENCH_parallel.json artifacts
-# (serial vs --jobs comparison; see docs/PERFORMANCE.md)
+# machine-readable BENCH_table4.json / BENCH_incremental.json /
+# BENCH_serve.json artifacts (see docs/PERFORMANCE.md)
 bench-tables:
 	$(RUN) benchmarks/bench_table4.py
 	$(RUN) benchmarks/bench_lossless.py
@@ -74,22 +74,14 @@ bench-tables:
 	$(RUN) benchmarks/bench_memo.py --smoke
 	$(RUN) benchmarks/bench_incremental.py
 	$(RUN) benchmarks/bench_serve.py
-	$(RUN) benchmarks/report.py --jobs 4
+	$(RUN) benchmarks/report.py
 
-# CI-sized parallel gate: smallest prefix size, --jobs 2; exits
-# non-zero unless both JSON artifacts parse and the serial/parallel
-# generated-tuple counts agree exactly.
+# CI-sized Table-4 smoke: smallest prefix size; exits non-zero unless
+# every JSON artifact parses and the incremental and serve correctness
+# gates hold.
 bench-smoke:
-	$(RUN) benchmarks/bench_table4.py --jobs 2 --sizes 20
+	$(RUN) benchmarks/bench_table4.py --sizes 20
 	$(RUN) benchmarks/report.py --smoke --sizes 20
-
-# Full parallel gate, re-baselining BENCH_parallel.json: serial vs
-# jobs=2 vs jobs=4 sweep.  Exits non-zero unless tuple counts agree,
-# jobs=2 q6-q8 wall stays within 1.25x of serial, summed worker
-# solver CPU at jobs=4 stays within 1.5x of serial on q6/q8, and (on a
-# multi-core host) the best q6-q8 speedup reaches 1.5x.
-bench-parallel:
-	$(RUN) benchmarks/report.py --jobs 4
 
 # lint-findings oracle gate: on seeded random programs every F016/F019
 # finding is validated by evaluating without the flagged rules, every

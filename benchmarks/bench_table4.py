@@ -17,9 +17,7 @@ prefix counts.  Shapes to look for (paper vs ours):
 * q7 is pinned to one flow/endpoint pair → nearly flat.
 
 Run: ``pytest benchmarks/bench_table4.py --benchmark-only``
-or   ``python benchmarks/bench_table4.py`` for the paper's table layout
-(``--jobs N`` fans the per-prefix q6–q8 queries across a worker pool;
-the printed numbers are identical for every ``jobs`` value).
+or   ``python benchmarks/bench_table4.py`` for the paper's table layout.
 """
 
 import argparse
@@ -38,9 +36,9 @@ except ImportError:  # python benchmarks/bench_table4.py
     from conftest import PREFIX_SIZES
 
 
-def _fresh_analyzer(compiled, jobs: int = 1, fast_path: bool = True):
+def _fresh_analyzer(compiled, fast_path: bool = True):
     solver = ConditionSolver(compiled.domains, fast_path=fast_path)
-    return ReachabilityAnalyzer(compiled.database(), solver, per_flow=True, jobs=jobs)
+    return ReachabilityAnalyzer(compiled.database(), solver, per_flow=True)
 
 
 def _pattern_queries(compiled, routes, kind: str) -> List[PatternQuery]:
@@ -77,17 +75,13 @@ def _pattern_queries(compiled, routes, kind: str) -> List[PatternQuery]:
     return queries
 
 
-def _pattern_stats(analyzer, compiled, routes, kind: str, jobs: int = 1) -> EvalStats:
-    """Run a q6/q7/q8-shaped query over every prefix; merge stats.
-
-    ``jobs > 1`` fans the independent per-prefix queries across a worker
-    pool via :meth:`ReachabilityAnalyzer.under_patterns`; the merged
-    stats (and the result tables) are identical for every ``jobs``.
-    """
+def _pattern_stats(analyzer, compiled, routes, kind: str) -> EvalStats:
+    """Run a q6/q7/q8-shaped query over every prefix; merge stats."""
     total = EvalStats()
-    for _, stats in analyzer.under_patterns(
-        _pattern_queries(compiled, routes, kind), jobs=jobs
-    ):
+    for q in _pattern_queries(compiled, routes, kind):
+        _, stats = analyzer.under_pattern(
+            q.pattern, name=q.name, source=q.source, dest=q.dest, flow=q.flow
+        )
         total.add(stats)
     return total
 
@@ -135,12 +129,6 @@ def main(argv=None) -> None:
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the q6/q7/q8 per-prefix fan-out (default 1)",
-    )
-    parser.add_argument(
         "--sizes",
         type=int,
         nargs="+",
@@ -164,12 +152,12 @@ def main(argv=None) -> None:
             RibConfig(prefixes=prefixes, as_count=max(60, prefixes // 4), seed=20210610)
         )
         compiled = compile_forwarding(routes)
-        analyzer = _fresh_analyzer(compiled, jobs=args.jobs)
+        analyzer = _fresh_analyzer(compiled)
         analyzer.compute()
         rec_sql = analyzer.stats.sql_seconds
         cells = [f"{prefixes:>8} | {rec_sql:>9.2f} |"]
         for query in ("q6", "q7", "q8"):
-            stats = _pattern_stats(analyzer, compiled, routes, query, jobs=args.jobs)
+            stats = _pattern_stats(analyzer, compiled, routes, query)
             cells.append(
                 f" {stats.sql_seconds:>7.2f} {stats.solver_seconds:>7.2f} "
                 f"{stats.tuples_generated:>8} |"

@@ -39,8 +39,7 @@ from .faurelog.evaluation import evaluate
 from .faurelog.parser import parse_program
 from .faurelog.rewrite import Deletion, Insertion
 from .network.forwarding import compile_forwarding
-from .network.reachability import PatternQuery, ReachabilityAnalyzer
-from .parallel.supervisor import ON_WORKER_LOSS_MODES, SupervisedExecutor
+from .network.reachability import ReachabilityAnalyzer
 from .robustness.checkpoint import CheckpointJournal, fingerprint_of
 from .robustness.errors import (
     BudgetExceeded,
@@ -48,7 +47,6 @@ from .robustness.errors import (
     ConditionTooLarge,
     FaureError,
     SolverFailure,
-    WorkerLost,
 )
 from .robustness.governor import Governor, ON_BUDGET_MODES
 from .solver.interface import SHARED_MEMO, ConditionSolver
@@ -63,16 +61,12 @@ __all__ = ["main", "parse_update_spec", "parse_lint_pragmas"]
 #       checkpoint fingerprint mismatches)
 #   3 — a resource budget or deadline ran out (``--on-budget fail``)
 #   4 — a solver routine failed outright
-#   5 — a worker process was lost past the supervised retry budget and the
-#       worker-loss policy forbade recovery (``--on-worker-loss fail``, or a
-#       call-site with no sound partial answer)
 #   6 — the serve daemon failed: could not bind its endpoint, or the ingest
 #       thread hit an infrastructure failure it could not recover from
 #       (the WAL remains authoritative for the next start)
 EXIT_PARSE_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_SOLVER_FAILURE = 4
-EXIT_WORKER_FAILURE = 5
 EXIT_SERVE_FAILURE = 6
 
 
@@ -116,46 +110,6 @@ def _add_governor_args(parser: argparse.ArgumentParser) -> None:
         help="disable the interval/atom semi-decision fast path (every "
         "solver decision routes to enumeration/DPLL; verdicts identical)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for parallelizable phases (batched condition "
-            "pruning, pattern fan-out, per-constraint verification); "
-            "default 1 = fully serial"
-        ),
-    )
-    parser.add_argument(
-        "--shared-memo",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="share solver verdicts across --jobs workers through the "
-        "crash-tolerant append-only verdict log (default: on; answers "
-        "are identical either way — sharing only removes repeated work)",
-    )
-    supervision = parser.add_argument_group("worker supervision (with --jobs > 1)")
-    supervision.add_argument(
-        "--task-timeout",
-        type=float,
-        help="wall-clock seconds one parallel task may run before its worker "
-        "is killed and the task retried",
-    )
-    supervision.add_argument(
-        "--task-retries",
-        type=int,
-        default=2,
-        help="re-submissions of a crashed/timed-out task before the "
-        "worker-loss policy applies (default: 2)",
-    )
-    supervision.add_argument(
-        "--on-worker-loss",
-        choices=ON_WORKER_LOSS_MODES,
-        default="inline",
-        help="past the retry budget: re-run the task inline in the parent "
-        "(default, byte-identical to --jobs 1), degrade soundly, or fail "
-        f"with exit code {EXIT_WORKER_FAILURE}",
-    )
 
 
 def _memo_from_args(args):
@@ -189,23 +143,6 @@ def _governor_from_args(args) -> Optional[Governor]:
     return governor
 
 
-def _executor_from_args(args) -> Optional[SupervisedExecutor]:
-    """A supervised executor honoring the CLI's supervision knobs.
-
-    ``None`` for serial runs — the jobs=1 paths never build a pool.
-    """
-    jobs = getattr(args, "jobs", 1)
-    if jobs <= 1:
-        return None
-    return SupervisedExecutor(
-        jobs,
-        task_timeout=getattr(args, "task_timeout", None),
-        task_retries=getattr(args, "task_retries", 2),
-        on_worker_loss=getattr(args, "on_worker_loss", "inline"),
-        shared_memo=getattr(args, "shared_memo", True),
-    )
-
-
 def _open_checkpoint(args, *fingerprint_parts: Optional[str]):
     """Open ``--checkpoint`` (when given) against the inputs' fingerprint."""
     path = getattr(args, "checkpoint", None)
@@ -237,20 +174,6 @@ def _report_governor(governor: Optional[Governor]) -> None:
             f"{events.fallbacks} fallback(s), "
             f"{events.condition_rejections} oversized condition(s)"
         )
-
-
-def _report_supervision(executor: Optional[SupervisedExecutor]) -> None:
-    """Failure accounting goes to stderr: a supervised run that recovered
-    must keep stdout byte-identical to an undisturbed serial run."""
-    if executor is None or not executor.failures.any:
-        return
-    f = executor.failures
-    print(
-        f"-- supervision: {f.worker_crashes} worker crash(es), "
-        f"{f.task_timeouts} timeout(s), {f.task_retries} retried, "
-        f"{f.tasks_quarantined} quarantined, {f.tasks_lost} lost",
-        file=sys.stderr,
-    )
 
 
 def parse_update_spec(spec: str):
@@ -316,13 +239,8 @@ def _cmd_rib_analyze(args) -> int:
     if checkpoint is not None and solver.memo is not None:
         # Replay journaled definite verdicts, then stream new ones.
         checkpoint.attach(solver.memo, compiled.domains)
-    executor = _executor_from_args(args)
     analyzer = ReachabilityAnalyzer(
-        compiled.database(),
-        solver,
-        per_flow=True,
-        jobs=getattr(args, "jobs", 1),
-        checkpoint=checkpoint,
+        compiled.database(), solver, per_flow=True, checkpoint=checkpoint
     )
     try:
         reach = analyzer.compute()
@@ -332,26 +250,18 @@ def _cmd_rib_analyze(args) -> int:
         if args.patterns:
             from .workloads.failures import at_least_k_failures
 
-            queries = []
             for route in routes:
                 variables = list(compiled.variables_of(route.prefix))
                 if len(variables) < 2:
                     continue
-                queries.append(
-                    PatternQuery(
-                        at_least_k_failures(variables, 1),
-                        name="T3",
-                        flow=route.prefix,
-                    )
+                table, _stats = analyzer.under_pattern(
+                    at_least_k_failures(variables, 1), name="T3", flow=route.prefix
                 )
-            results = analyzer.under_patterns(queries, executor=executor)
-            for query, (table, _stats) in zip(queries, results):
-                print(f"pattern {query.flow}: {len(table)} tuple(s)")
+                print(f"pattern {route.prefix}: {len(table)} tuple(s)")
         stats = analyzer.stats
         print(f"sql seconds:    {stats.sql_seconds:.3f}")
         print(f"solver seconds: {stats.solver_seconds:.3f}")
         _report_governor(governor)
-        _report_supervision(executor)
     finally:
         _close_checkpoint(checkpoint)
     return 0
@@ -424,23 +334,16 @@ def _cmd_verify(args) -> int:
     )
     if checkpoint is not None and solver.memo is not None:
         checkpoint.attach(solver.memo, effective_domains)
-    executor = _executor_from_args(args)
     verifier = RelativeCompleteVerifier(known, solver)
     try:
         verdicts = verifier.verify_many(
-            targets,
-            update=update,
-            state=state,
-            jobs=getattr(args, "jobs", 1),
-            executor=executor,
-            checkpoint=checkpoint,
+            targets, update=update, state=state, checkpoint=checkpoint
         )
         for target, verdict in zip(targets, verdicts):
             print(f"{target.name}: {verdict}")
             for step in verdict.trail:
                 print(f"  {step}")
         _report_governor(governor)
-        _report_supervision(executor)
     finally:
         _close_checkpoint(checkpoint)
     return 0 if all(v.ok for v in verdicts) else 1
@@ -475,16 +378,10 @@ def _cmd_sql(args) -> int:
     )
     if checkpoint is not None and solver.memo is not None:
         # The SQL path checkpoints at memo granularity: every definite
-        # verdict the batch pruner computes is durable, so a resumed
+        # verdict the pruner computes is durable, so a resumed
         # script replays them instead of re-solving.
         checkpoint.attach(solver.memo, domains)
-    executor = _executor_from_args(args)
-    engine = SqlEngine(
-        db,
-        solver=solver,
-        jobs=getattr(args, "jobs", 1),
-        executor=executor,
-    )
+    engine = SqlEngine(db, solver=solver)
     try:
         result = engine.script(statements)
         if result is not None:
@@ -492,7 +389,6 @@ def _cmd_sql(args) -> int:
         if args.save:
             Path(args.save).write_text(dump_database(db, domains))
             print(f"saved database to {args.save}")
-        _report_supervision(executor)
     finally:
         _close_checkpoint(checkpoint)
     return 0
@@ -812,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--patterns",
         action="store_true",
         help="additionally run a per-prefix at-least-one-failure pattern "
-        "query (q8 shape) for every multi-path prefix; fans out across --jobs",
+        "query (q8 shape) for every multi-path prefix",
     )
     ana.add_argument(
         "--checkpoint",
@@ -837,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--target",
         required=True,
         nargs="+",
-        help="target constraint file(s); several fan out across --jobs",
+        help="target constraint file(s), verified in order",
     )
     verify.add_argument("--known", nargs="*", default=[], help="known constraint files")
     verify.add_argument(
@@ -1017,9 +913,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (BudgetExceeded, ConditionTooLarge) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except WorkerLost as exc:
-        print(f"worker failure: {exc}", file=sys.stderr)
-        return EXIT_WORKER_FAILURE
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -1,37 +1,18 @@
-"""The process-wide phase-accounting clock.
+"""The phase-accounting clock.
 
 Every sql/solver phase measurement (``engine.stats.Stopwatch``, the
 evaluator's phase split, the solver's ``time_seconds``) reads time
-through :func:`phase_clock`.  The parent process keeps wall time
-(``perf_counter``); pool worker initializers switch their process to CPU
-time (``process_time``) via :func:`use_cpu_clock` — on a timeshared
-host, a worker's wall clock keeps running while the worker is
-descheduled, so per-worker wall *sums* overstate the actual work by up
-to the worker count (the "summed sql_s exceeds wall_s" artifact in early
-BENCH_parallel rows).  CPU time is additive across workers, so summed
-worker phase times are comparable to a serial run's.
-
-The clock lives in a dict so the executors' inline-state guard can
-snapshot/restore it around in-parent initializer runs (see
-:data:`repro.parallel.worker.INLINE_STATE_DICTS`).  This module must
-stay dependency-free: it is imported from both the engine and the
-solver, below every package ``__init__``.
+through :func:`phase_clock`, the wall clock (``perf_counter``), so the
+phase split is measured in the time a user waits.  This module must stay
+dependency-free: it is imported from both the engine and the solver,
+below every package ``__init__``.
 """
 
 from __future__ import annotations
 
 import time
 
-__all__ = ["phase_clock", "use_cpu_clock", "_CLOCK"]
+__all__ = ["phase_clock"]
 
-_CLOCK = {"now": time.perf_counter}
-
-
-def phase_clock() -> float:
-    """Current reading of the phase-accounting clock."""
-    return _CLOCK["now"]()
-
-
-def use_cpu_clock() -> None:
-    """Switch this process's phase accounting to CPU time (worker-side)."""
-    _CLOCK["now"] = time.process_time
+#: Current reading of the phase-accounting clock, in seconds.
+phase_clock = time.perf_counter

@@ -41,8 +41,8 @@ class SlotPickleMixin:
     The immutable classes in this package block ``__setattr__``, which
     breaks pickle's default slot-state restoration (it calls ``setattr``).
     This mixin restores state through ``object.__setattr__`` instead, so
-    terms, conditions, and tuples can cross process boundaries (the
-    parallel execution layer ships them to worker processes).
+    terms, conditions, and tuples survive ``pickle`` and the ``copy``
+    module, which restores state through the same protocol.
     """
 
     __slots__ = ()

@@ -188,31 +188,17 @@ class Pred:
 
 
 class ExecutionContext:
-    """Carries the solver, pruning policy, and timing accumulators.
-
-    With ``jobs > 1`` the context runs in *batch* mode: per-tuple
-    :meth:`keep` checks degrade to the structural FALSE filter, and each
-    operator instead hands its whole output to :meth:`finish`, which
-    prunes it in one batched (and sharded) solver pass.  Note one
-    accounting nuance: in batch mode ``tuples_generated`` counts tuples
-    *before* the operator's prune (the serial eager path counts only
-    survivors); pruned/kept counts are unchanged.
-    """
+    """Carries the solver, pruning policy, and timing accumulators."""
 
     def __init__(
         self,
         solver: Optional[ConditionSolver] = None,
         prune: bool = True,
         stats: Optional[EvalStats] = None,
-        jobs: int = 1,
-        executor=None,
     ):
         self.solver = solver
         self.prune = prune and solver is not None
         self.stats = stats if stats is not None else EvalStats()
-        self.jobs = max(1, int(jobs))
-        self.executor = executor
-        self.batch = self.prune and self.jobs > 1
         self._solver_watch = Stopwatch()
 
     def keep(self, condition: Condition) -> bool:
@@ -225,7 +211,7 @@ class ExecutionContext:
         if isinstance(condition, FalseCond):
             self.stats.tuples_pruned += 1
             return False
-        if not self.prune or self.batch:
+        if not self.prune:
             return True
         start_seconds = self._solver_watch.seconds
         with self._solver_watch.measure():
@@ -237,20 +223,6 @@ class ExecutionContext:
         if verdict is Verdict.UNKNOWN:
             self.stats.unknown_kept += 1
         return True
-
-    def finish(self, table: CTable) -> CTable:
-        """Batch-prune an operator's output (identity outside batch mode)."""
-        if not self.batch:
-            return table
-        from ..parallel.batch import prune_batched
-
-        start_seconds = self._solver_watch.seconds
-        with self._solver_watch.measure():
-            out = prune_batched(
-                table, self.solver, self.stats, jobs=self.jobs, executor=self.executor
-            )
-        self.stats.solver_seconds += self._solver_watch.seconds - start_seconds
-        return out
 
 
 class PlanNode:
@@ -310,7 +282,7 @@ class Selection(PlanNode):
             if ctx.keep(combined):
                 out.add(tup.values, combined)
                 ctx.stats.tuples_generated += 1
-        return ctx.finish(out)
+        return out
 
 
 class ConditionSelection(PlanNode):
@@ -341,7 +313,7 @@ class ConditionSelection(PlanNode):
             if ctx.keep(combined):
                 out.add(tup.values, combined)
                 ctx.stats.tuples_generated += 1
-        return ctx.finish(out)
+        return out
 
 
 class Projection(PlanNode):
@@ -364,7 +336,7 @@ class Projection(PlanNode):
                 vals = [tup.values[i] for i in idx]
                 out.add(vals, tup.condition)
                 ctx.stats.tuples_generated += 1
-            return ctx.finish(out)
+            return out
         merged: Dict[Tuple[Term, ...], List[Condition]] = {}
         order: List[Tuple[Term, ...]] = []
         for tup in src:
@@ -378,7 +350,7 @@ class Projection(PlanNode):
             if ctx.keep(cond):
                 out.add(key, cond)
                 ctx.stats.tuples_generated += 1
-        return ctx.finish(out)
+        return out
 
 
 class Rename(PlanNode):
@@ -425,7 +397,7 @@ class Product(PlanNode):
                 if ctx.keep(cond):
                     out.add(tuple(lt.values) + tuple(rt.values), cond)
                     ctx.stats.tuples_generated += 1
-        return ctx.finish(out)
+        return out
 
 
 class Join(PlanNode):
@@ -541,7 +513,7 @@ class Join(PlanNode):
                     row = tuple(lt.values) + tuple(rt.values[i] for i in keep_idx)
                     out.add(row, cond)
                     ctx.stats.tuples_generated += 1
-        return ctx.finish(out)
+        return out
 
 
 class AntiJoin(PlanNode):
@@ -599,7 +571,7 @@ class AntiJoin(PlanNode):
             if ctx.keep(combined):
                 out.add(lt.values, combined)
                 ctx.stats.tuples_generated += 1
-        return ctx.finish(out)
+        return out
 
 
 class Union(PlanNode):
@@ -649,7 +621,7 @@ class Distinct(PlanNode):
             cond = disjoin(merged[key])
             if ctx.keep(cond):
                 out.add(key, cond)
-        return ctx.finish(out)
+        return out
 
 
 def evaluate_plan(
@@ -658,18 +630,13 @@ def evaluate_plan(
     solver: Optional[ConditionSolver] = None,
     prune: bool = True,
     stats: Optional[EvalStats] = None,
-    jobs: int = 1,
-    executor=None,
 ) -> CTable:
     """Execute a plan, timing relational work as "sql" seconds.
 
     Solver time is subtracted out of the wall measurement so the two
-    buckets are disjoint, matching Table 4's reporting.  ``jobs > 1``
-    switches pruning operators to batched (sharded) pruning of whole
-    operator outputs; see :class:`ExecutionContext`.
+    buckets are disjoint, matching Table 4's reporting.
     """
-    ctx = ExecutionContext(solver=solver, prune=prune, stats=stats, jobs=jobs,
-                           executor=executor)
+    ctx = ExecutionContext(solver=solver, prune=prune, stats=stats)
     solver_before = ctx.stats.solver_seconds
     watch = Stopwatch()
     with watch.measure():

@@ -20,14 +20,16 @@ strategies the evaluation cares about:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..ctable.condition import Condition, FalseCond, TrueCond
 from ..ctable.table import CTable, Database
+from ..robustness.verdict import Verdict
 from ..solver.interface import ConditionSolver
 from .algebra import PlanNode, evaluate_plan
 from .stats import EvalStats, Stopwatch
 
-__all__ = ["run_lazy", "run_eager", "solver_prune"]
+__all__ = ["run_lazy", "run_eager", "solver_prune", "group_classes"]
 
 
 def _memo_snapshot(solver: ConditionSolver) -> Tuple[int, int, int, int, int]:
@@ -61,12 +63,48 @@ def _record_memo_delta(
             stats.extra[key] = stats.extra.get(key, 0) + delta
 
 
+def group_classes(
+    table: CTable, solver: ConditionSolver
+) -> Tuple[List[Tuple[Condition, List[int]]], List[int]]:
+    """Group tuple indices by condition equivalence class.
+
+    Returns ``(classes, per_tuple)`` where each class is ``(rep, member
+    indices)`` — ``rep`` being the first member's *original* condition —
+    in first-appearance order, and ``per_tuple`` lists indices whose
+    conditions are over the governor's size ceiling.  Oversized
+    conditions are never canonicalized (the ceiling applies *before*
+    interning) and are decided tuple by tuple, where the governed
+    rejection happens without consuming fault-injection or call-budget
+    slots — exactly as in a per-tuple pruner.
+    """
+    governor = solver.governor
+    ceiling = governor.max_condition_atoms if governor is not None else None
+    grouped: Dict[object, int] = {}
+    classes: List[Tuple[Condition, List[int]]] = []
+    per_tuple: List[int] = []
+    for i, tup in enumerate(table):
+        cond = tup.condition
+        if (
+            ceiling is not None
+            and not isinstance(cond, (TrueCond, FalseCond))
+            and sum(1 for _ in cond.atoms()) > ceiling
+        ):
+            per_tuple.append(i)
+            continue
+        key = solver.canonical(cond)
+        slot = grouped.get(key)
+        if slot is None:
+            grouped[key] = len(classes)
+            classes.append((cond, [i]))
+        else:
+            classes[slot][1].append(i)
+    return classes, per_tuple
+
+
 def solver_prune(
     table: CTable,
     solver: ConditionSolver,
     stats: Optional[EvalStats] = None,
-    jobs: int = 1,
-    executor=None,
 ) -> CTable:
     """Phase 3: drop tuples whose conditions are unsatisfiable.
 
@@ -75,19 +113,42 @@ def solver_prune(
     governor is *kept* (counted in ``stats.unknown_kept``), leaving the
     result loss-less but less simplified.
 
-    The table is pruned by canonical equivalence class — one solver
-    decision per distinct condition form, verdicts fanned back to the
-    member tuples — and with ``jobs > 1`` residual undecided classes
-    are sharded across a worker pool (:mod:`repro.parallel.batch`).
-    The output table is identical for every ``jobs`` value.
+    The table is pruned by canonical equivalence class
+    (:func:`group_classes`): each class is first probed through the
+    solver's caches (:meth:`ConditionSolver.sat_verdict_cached`), then
+    every residual class gets one governed :meth:`sat_verdict` call, in
+    class order; oversized conditions are decided per tuple.  Verdicts
+    fan back to the member tuples in original table order, so the
+    result equals the per-tuple pruner's — and with duplicates present
+    it is strictly cheaper.
     """
-    from ..parallel.batch import prune_batched
-
     stats = stats if stats is not None else EvalStats()
     watch = Stopwatch()
     before = _memo_snapshot(solver)
     with watch.measure():
-        out = prune_batched(table, solver, stats, jobs=jobs, executor=executor)
+        if solver.governor is not None:
+            solver.governor.ensure_started()
+        classes, per_tuple = group_classes(table, solver)
+        verdicts = [solver.sat_verdict_cached(rep) for rep, _ in classes]
+        for index, (rep, _) in enumerate(classes):
+            if verdicts[index] is None:
+                verdicts[index] = solver.sat_verdict(rep)
+        by_tuple: Dict[int, Verdict] = {}
+        for verdict, (_, members) in zip(verdicts, classes):
+            for i in members:
+                by_tuple[i] = verdict
+        oversized = set(per_tuple)
+        out = CTable(table.name, table.schema)
+        for i, tup in enumerate(table):
+            verdict = (
+                solver.sat_verdict(tup.condition) if i in oversized else by_tuple[i]
+            )
+            if verdict is Verdict.UNSAT:
+                stats.tuples_pruned += 1
+                continue
+            if verdict is Verdict.UNKNOWN:
+                stats.unknown_kept += 1
+            out.add(tup)
     stats.solver_seconds += watch.seconds
     _record_memo_delta(stats, solver, before)
     return out
@@ -98,19 +159,13 @@ def run_lazy(
     db: Database,
     solver: ConditionSolver,
     stats: Optional[EvalStats] = None,
-    jobs: int = 1,
-    executor=None,
 ) -> Tuple[CTable, EvalStats]:
     """Phases 1–2 without pruning, then one final solver pass (phase 3)."""
     stats = stats if stats is not None else EvalStats()
     if solver.governor is not None:
         solver.governor.ensure_started()
-    if executor is None and jobs > 1:
-        from ..parallel.supervisor import SupervisedExecutor
-
-        executor = SupervisedExecutor(jobs)
     raw = evaluate_plan(plan, db, solver=None, prune=False, stats=stats)
-    pruned = solver_prune(raw, solver, stats, jobs=jobs, executor=executor)
+    pruned = solver_prune(raw, solver, stats)
     return pruned, stats
 
 
@@ -119,22 +174,12 @@ def run_eager(
     db: Database,
     solver: ConditionSolver,
     stats: Optional[EvalStats] = None,
-    jobs: int = 1,
-    executor=None,
 ) -> Tuple[CTable, EvalStats]:
     """Prune inside every operator (intermediate relations stay small)."""
     stats = stats if stats is not None else EvalStats()
     if solver.governor is not None:
         solver.governor.ensure_started()
-    if executor is None and jobs > 1:
-        # One supervised executor shared across every operator's prune,
-        # so failure accounting accumulates over the whole evaluation.
-        from ..parallel.supervisor import SupervisedExecutor
-
-        executor = SupervisedExecutor(jobs)
     before = _memo_snapshot(solver)
-    result = evaluate_plan(
-        plan, db, solver=solver, prune=True, stats=stats, jobs=jobs, executor=executor
-    )
+    result = evaluate_plan(plan, db, solver=solver, prune=True, stats=stats)
     _record_memo_delta(stats, solver, before)
     return result, stats

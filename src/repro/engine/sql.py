@@ -89,16 +89,10 @@ class SqlEngine:
         db: Optional[Database] = None,
         solver: Optional[ConditionSolver] = None,
         prune: bool = True,
-        jobs: int = 1,
-        executor=None,
     ):
         self.db = db if db is not None else Database()
         self.solver = solver
         self.prune = prune
-        self.jobs = max(1, int(jobs))
-        #: Shared shard executor for batch pruning; ``None`` lets each
-        #: prune build a default supervised executor on demand.
-        self.executor = executor
         self.stats = EvalStats()
 
     # -- public API --------------------------------------------------------
@@ -369,8 +363,7 @@ class SqlEngine:
             raise SqlError(f"trailing input after SELECT: {stream.peek()[1]!r}")
 
         result = evaluate_plan(
-            plan, self.db, solver=self.solver, prune=self.prune, stats=self.stats,
-            jobs=self.jobs, executor=self.executor,
+            plan, self.db, solver=self.solver, prune=self.prune, stats=self.stats
         )
         if into is not None:
             stored = CTable(into, result.schema)

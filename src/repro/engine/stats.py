@@ -15,9 +15,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator
 
-from ..clock import phase_clock, use_cpu_clock
+from ..clock import phase_clock
 
-__all__ = ["EvalStats", "Stopwatch", "phase_clock", "use_cpu_clock"]
+__all__ = ["EvalStats", "Stopwatch", "phase_clock"]
 
 
 class Stopwatch:

@@ -16,7 +16,6 @@ examples) are one-liners.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -40,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PatternQuery:
-    """One failure-pattern query (q6–q8 shape), picklable for fan-out."""
+    """One failure-pattern query (q6–q8 shape)."""
 
     pattern: Condition
     name: str = "T"
@@ -58,9 +57,7 @@ def run_pattern_query(
 ) -> Tuple[CTable, EvalStats]:
     """Evaluate one pattern query over a computed reachability database.
 
-    Module-level (rather than a method) so worker processes can run it
-    against initializer-shipped state; :meth:`ReachabilityAnalyzer.
-    under_pattern` is a thin wrapper over it.
+    :meth:`ReachabilityAnalyzer.under_pattern` is a thin wrapper over it.
     """
     args: List = []
     if per_flow:
@@ -145,15 +142,12 @@ class ReachabilityAnalyzer:
         solver: ConditionSolver,
         forwarding: str = "F",
         per_flow: bool = False,
-        jobs: int = 1,
         checkpoint=None,
     ):
         self.database = database
         self.solver = solver
         self.forwarding = forwarding
         self.per_flow = per_flow
-        #: Default worker count for :meth:`under_patterns` fan-out.
-        self.jobs = max(1, int(jobs))
         #: Optional :class:`~repro.robustness.checkpoint.CheckpointJournal`;
         #: when set, the computed R table and every pattern-query result
         #: become durable as they finish, and a resumed run replays them
@@ -228,15 +222,36 @@ class ReachabilityAnalyzer:
         ``x̄ + ȳ + z̄ = 1``); ``source``/``dest``/``flow`` optionally pin
         endpoints as in q7.  Returns the derived c-table and the
         per-query stats (sql vs solver split).
+
+        With a checkpoint attached, a result that is already durable is
+        replayed instead of re-run, and a freshly computed result is
+        journaled before returning — so a killed run resumes with zero
+        repeated queries.
         """
+        query = PatternQuery(pattern, name=name, source=source, dest=dest, flow=flow)
         if self._reach_db is None:
             self.compute()
-        query = PatternQuery(pattern, name=name, source=source, dest=dest, flow=flow)
+        if self.checkpoint is not None:
+            from ..robustness.checkpoint import stats_from_obj, table_from_obj
+
+            payload = self.checkpoint.get("pattern", self._query_key(query))
+            if payload is not None:
+                stats = stats_from_obj(payload["stats"])
+                self.stats.add(stats)
+                return table_from_obj(payload["table"]), stats
         table, stats = run_pattern_query(
             self._reach_db, self.solver, self.per_flow, query,
             storage=self._reach_storage,
         )
         self.stats.add(stats)
+        if self.checkpoint is not None:
+            from ..robustness.checkpoint import stats_to_obj, table_to_obj
+
+            self.checkpoint.record(
+                "pattern",
+                self._query_key(query),
+                {"table": table_to_obj(table), "stats": stats_to_obj(stats)},
+            )
         return table, stats
 
     def _query_key(self, query: PatternQuery) -> Dict:
@@ -252,185 +267,6 @@ class ReachabilityAnalyzer:
             "flow": query.flow,
             "per_flow": self.per_flow,
         }
-
-    def under_patterns(
-        self,
-        queries: Sequence[PatternQuery],
-        jobs: Optional[int] = None,
-        executor=None,
-    ) -> List[Tuple[CTable, EvalStats]]:
-        """Run independent pattern queries, optionally across a pool.
-
-        ``jobs=1`` is exactly a loop over :meth:`under_pattern`.  With
-        ``jobs > 1`` the computed reachability database ships to each
-        worker once (pool initializer) and queries fan out; results and
-        their :class:`EvalStats` merge back **in query order**, with
-        worker CPU accounted in ``stats.extra["parallel_cpu_seconds"]``
-        and shard/wall counters alongside.  Each parallel query runs
-        under a governor rebuilt from the parent's remaining budgets,
-        with its own deterministic per-query fault schedule.
-
-        With a checkpoint attached, queries whose results are already
-        durable are replayed (never re-run), and each freshly computed
-        result is journaled as it completes — so a killed run resumes
-        with zero repeated queries.
-        """
-        if self._reach_db is None:
-            self.compute()
-        jobs = self.jobs if jobs is None else jobs
-
-        results: Dict[int, Tuple[CTable, EvalStats]] = {}
-        pending: List[Tuple[int, PatternQuery]] = []
-        if self.checkpoint is not None:
-            from ..robustness.checkpoint import stats_from_obj, table_from_obj
-
-            for i, q in enumerate(queries):
-                payload = self.checkpoint.get("pattern", self._query_key(q))
-                if payload is None:
-                    pending.append((i, q))
-                    continue
-                stats = stats_from_obj(payload["stats"])
-                self.stats.add(stats)
-                results[i] = (table_from_obj(payload["table"]), stats)
-        else:
-            pending = list(enumerate(queries))
-
-        if pending:
-            computed = self._run_patterns([q for _, q in pending], jobs, executor)
-            for (i, q), outcome in zip(pending, computed):
-                if self.checkpoint is not None:
-                    from ..robustness.checkpoint import stats_to_obj, table_to_obj
-
-                    self.checkpoint.record(
-                        "pattern",
-                        self._query_key(q),
-                        {
-                            "table": table_to_obj(outcome[0]),
-                            "stats": stats_to_obj(outcome[1]),
-                        },
-                    )
-                results[i] = outcome
-        return [results[i] for i in range(len(queries))]
-
-    def _run_patterns(
-        self,
-        queries: Sequence[PatternQuery],
-        jobs: int,
-        executor,
-    ) -> List[Tuple[CTable, EvalStats]]:
-        """The actual serial-or-parallel pattern execution."""
-        if jobs <= 1 or len(queries) <= 1:
-            return [
-                self.under_pattern(
-                    q.pattern, name=q.name, source=q.source, dest=q.dest, flow=q.flow
-                )
-                for q in queries
-            ]
-        from ..parallel.executor import balanced_shards
-        from ..parallel.shared_memo import reads_allowed, session_for
-        from ..parallel.spec import GovernorSpec
-        from ..parallel.supervisor import SupervisedExecutor, TaskLost, fold_failures
-        from ..parallel.worker import init_pattern_worker, run_pattern_shard
-        from ..robustness.errors import WorkerLost
-
-        executor = executor or SupervisedExecutor(jobs)
-        governor = self.solver.governor
-        session = session_for(self.solver.memo, executor)
-        reads = reads_allowed(governor)
-        store_hits_before = 0
-        if session is not None:
-            session.enable_parent_reads(reads)
-            store_hits_before = session.store.hits
-
-        def _initargs() -> tuple:
-            # Re-snapshot the live governor on every (re)spawn so a
-            # retried query honors the original deadline — the spec
-            # serializes *remaining* seconds (see GovernorSpec).
-            # The memo seed and the warm storage ride along only for
-            # ungoverned runs (same rule as store reads): a warm worker
-            # memo changes governed call sequences.  Under fork both are
-            # copy-on-write, so a worker starts exactly as warm as the
-            # serial path instead of re-solving the compute phase.
-            return (
-                self._reach_db,
-                self.solver.domains,
-                self.per_flow,
-                GovernorSpec.from_governor(governor),
-                self.solver.enumeration_limit,
-                self.solver.memo is not None,
-                self.solver.fast_path,
-                session.handle(reads) if session is not None else None,
-                self.solver.memo._entries
-                if reads and self.solver.memo is not None
-                else None,
-                self._reach_storage,
-            )
-
-        # Coarse sharding: a few queries per pickle instead of one task
-        # per query — 2 shards per worker keeps the pool load-balanced
-        # when query costs are skewed without reverting to per-query IPC.
-        shards = balanced_shards(list(queries), jobs * 2)
-        start = time.perf_counter()
-        results = executor.map(
-            run_pattern_shard,
-            shards,
-            initializer=init_pattern_worker,
-            initargs=_initargs(),
-            refresh_initargs=_initargs,
-        )
-        wall = time.perf_counter() - start
-        fold_failures(executor, governor=governor, stats=self.stats)
-        out: List[Tuple[CTable, EvalStats]] = []
-        for shard_index, shard_res in enumerate(results):
-            if isinstance(shard_res, TaskLost):
-                # Unlike pruning (keep the tuple) or verification
-                # (INCONCLUSIVE), a missing pattern-query answer has no
-                # sound partial form — the loss must surface.
-                raise WorkerLost(
-                    f"pattern shard {shard_res.task_index} "
-                    f"({len(shards[shard_index])} queries) lost: {shard_res.reason}",
-                    task_index=shard_res.task_index,
-                )
-            for res in shard_res["results"]:
-                stats: EvalStats = res["stats"]
-                self.stats.add(stats)
-                solver_stats = res["solver_stats"]
-                for field_name, value in solver_stats.items():
-                    if field_name == "time_seconds":
-                        self.stats.extra["parallel_cpu_seconds"] = (
-                            self.stats.extra.get("parallel_cpu_seconds", 0.0) + value
-                        )
-                        continue
-                    setattr(
-                        self.solver.stats,
-                        field_name,
-                        getattr(self.solver.stats, field_name) + value,
-                    )
-                if res.get("events") is not None and governor is not None:
-                    governor.absorb(res["events"])
-                out.append((res["table"], stats))
-            shared = shard_res.get("shared_memo")
-            if shared is not None:
-                for field_name, value in shared.items():
-                    key = f"shared_memo_{field_name}"
-                    self.stats.extra[key] = self.stats.extra.get(key, 0) + value
-        self.stats.extra["parallel_shards"] = (
-            self.stats.extra.get("parallel_shards", 0) + len(shards)
-        )
-        self.stats.extra["parallel_wall_seconds"] = (
-            self.stats.extra.get("parallel_wall_seconds", 0.0) + wall
-        )
-        self.stats.extra["parallel_tasks"] = (
-            self.stats.extra.get("parallel_tasks", 0) + executor.last_tasks
-        )
-        self.stats.extra["ipc_bytes"] = (
-            self.stats.extra.get("ipc_bytes", 0) + executor.last_ipc_bytes
-        )
-        if session is not None:
-            self.stats.extra["shared_memo_hits"] = self.stats.extra.get(
-                "shared_memo_hits", 0
-            ) + (session.store.hits - store_hits_before)
-        return out
 
     def exactly_k_up(
         self, variables: Sequence[CVariable], k: int, name: str = "T"

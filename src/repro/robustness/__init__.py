@@ -19,7 +19,9 @@ out:
 * :mod:`~repro.robustness.checkpoint` — a durable journal of completed
   work units (definite memo verdicts, pattern-query results, verify
   verdicts) so a killed run resumes byte-for-byte, re-running zero
-  completed units.
+  completed units;
+* :mod:`~repro.robustness.chaos` — the ``FAURE_CHAOS`` directives the
+  chaos suite uses to kill or stall a real process at a chosen instant.
 
 Soundness contract (see ``docs/ROBUSTNESS.md``): on ``UNKNOWN`` every
 call-site keeps the tuple / skips the merge / reports inconclusive, so
@@ -34,7 +36,6 @@ from .errors import (
     ConditionTooLarge,
     FaureError,
     SolverFailure,
-    WorkerLost,
 )
 from .faultinject import FaultInjector, FaultPlan
 from .governor import Governor, GovernorEvents, ON_BUDGET_MODES, WorkTicket
@@ -45,7 +46,6 @@ __all__ = [
     "BudgetExceeded",
     "SolverFailure",
     "ConditionTooLarge",
-    "WorkerLost",
     "CheckpointError",
     "CheckpointJournal",
     "fingerprint_of",

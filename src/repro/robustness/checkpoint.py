@@ -42,6 +42,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
+from .chaos import chaos_directives, sentinel_fires
 from .errors import CheckpointError
 
 if TYPE_CHECKING:  # runtime imports stay lazy: ctable.io imports the
@@ -309,12 +310,10 @@ class CheckpointJournal:
 
     def _maybe_die(self) -> None:
         """Chaos hook: hard-exit after N appends (``die-after-records``)."""
-        from ..parallel.supervisor import _sentinel_fires, chaos_directives
-
         for directive in chaos_directives():
             if directive[0] != "die-after-records":
                 continue
-            if self._appended >= int(directive[1]) and _sentinel_fires(directive[2]):
+            if self._appended >= int(directive[1]) and sentinel_fires(directive[2]):
                 os._exit(1)
 
     def record(self, kind: str, key: Any, payload: Any) -> bool:
@@ -387,9 +386,8 @@ class CheckpointJournal:
 
         Returns the number of replayed memo entries.  After this call
         every *new* definite verdict the run computes streams to the
-        journal as it lands in the memo.  Subscription goes through
-        :meth:`MemoTable.add_observer`, so the journal coexists with the
-        cross-worker shared verdict store's writer.
+        journal as it lands in the memo (through
+        :meth:`MemoTable.add_observer`).
         """
         replayed = self.replay_memo(memo, domains)
 

@@ -24,7 +24,6 @@ __all__ = [
     "BudgetExceeded",
     "SolverFailure",
     "ConditionTooLarge",
-    "WorkerLost",
     "CheckpointError",
 ]
 
@@ -60,24 +59,6 @@ class ConditionTooLarge(FaureError):
         super().__init__(message)
         self.atoms = atoms
         self.limit = limit
-
-
-class WorkerLost(FaureError):
-    """A worker process died and its task could not be recovered.
-
-    Raised by the supervised executor when a task exhausts its retry
-    budget and the caller's worker-loss policy forbids both inline
-    quarantine and sound degradation.  ``task_index`` names the task (by
-    submission order) when known.  Unlike the three errors above this is
-    *not* always safe to degrade on — whether a lost task can be
-    absorbed depends on the call-site (prune: keep-as-UNKNOWN; verify:
-    INCONCLUSIVE; pattern fan-out: no sound partial answer exists, so
-    the loss propagates).
-    """
-
-    def __init__(self, message: str, task_index: int = None):
-        super().__init__(message)
-        self.task_index = task_index
 
 
 class CheckpointError(FaureError):

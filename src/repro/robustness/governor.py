@@ -56,12 +56,6 @@ class GovernorEvents:
     unknown_verdicts: int = 0  # calls degraded to UNKNOWN
     injected_faults: int = 0  # faults fired by the injector
     retries: int = 0  # retry-with-larger-budget escalations
-    # Supervised-execution failure accounting (repro.parallel.supervisor):
-    worker_crashes: int = 0  # worker processes found dead mid-task
-    task_timeouts: int = 0  # tasks killed for exceeding their wall-clock cap
-    task_retries: int = 0  # task re-submissions after a crash/timeout
-    tasks_quarantined: int = 0  # tasks re-run inline after the retry budget
-    tasks_lost: int = 0  # tasks degraded/failed after the retry budget
 
     def reset(self) -> None:
         self.solver_calls = 0
@@ -71,11 +65,6 @@ class GovernorEvents:
         self.unknown_verdicts = 0
         self.injected_faults = 0
         self.retries = 0
-        self.worker_crashes = 0
-        self.task_timeouts = 0
-        self.task_retries = 0
-        self.tasks_quarantined = 0
-        self.tasks_lost = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -86,11 +75,6 @@ class GovernorEvents:
             "unknown_verdicts": self.unknown_verdicts,
             "injected_faults": self.injected_faults,
             "retries": self.retries,
-            "worker_crashes": self.worker_crashes,
-            "task_timeouts": self.task_timeouts,
-            "task_retries": self.task_retries,
-            "tasks_quarantined": self.tasks_quarantined,
-            "tasks_lost": self.tasks_lost,
         }
 
 
@@ -222,18 +206,6 @@ class Governor:
         if self.solver_call_budget is None:
             return None
         return max(0, self.solver_call_budget - self._calls_used)
-
-    def absorb(self, events: Dict[str, int], calls: int = 0) -> None:
-        """Fold a worker governor's event ledger into this one.
-
-        ``calls`` additionally advances the call-budget counter, so a
-        parallel phase consumes the same budget the serial path would
-        have; the *next* call past an exhausted budget raises, exactly
-        as in the serial path.
-        """
-        for key, value in events.items():
-            setattr(self.events, key, getattr(self.events, key) + value)
-        self._calls_used += calls
 
     # -- checks ------------------------------------------------------------
 

@@ -44,7 +44,7 @@ import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from ..parallel.supervisor import _sentinel_fires, chaos_directives
+from ..robustness.chaos import chaos_directives, sentinel_fires
 from .protocol import (
     FEATURES,
     MAX_LINE_BYTES,
@@ -87,7 +87,7 @@ class _Box:
 def _maybe_chaos_hang() -> None:
     """Fire a scheduled ``serve-hang-apply`` directive (test hook)."""
     for directive in chaos_directives():
-        if directive[0] == "serve-hang-apply" and _sentinel_fires(directive[2]):
+        if directive[0] == "serve-hang-apply" and sentinel_fires(directive[2]):
             time.sleep(float(directive[1]))
 
 

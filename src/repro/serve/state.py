@@ -64,7 +64,7 @@ from ..ctable.terms import Constant, CVariable
 from ..faurelog.ast import ProgramError
 from ..faurelog.incremental import IncrementalEvaluator
 from ..faurelog.parser import parse_program
-from ..parallel.supervisor import _sentinel_fires, chaos_directives
+from ..robustness.chaos import chaos_directives, sentinel_fires
 from ..robustness.governor import Governor
 from ..robustness.verdict import Verdict
 from ..solver.domains import BOOL_DOMAIN
@@ -152,7 +152,7 @@ def _maybe_compact_die() -> None:
     compaction, proving recovery tolerates snapshot+full-log overlap.
     """
     for directive in chaos_directives():
-        if directive[0] == "compact-die" and _sentinel_fires(directive[1]):
+        if directive[0] == "compact-die" and sentinel_fires(directive[1]):
             os._exit(1)
 
 

@@ -30,7 +30,7 @@ ceilings, and injected faults all surface as
 call.  A satisfiability decision is charged exactly one
 ``begin_solver_call`` — after the size ceiling, before the first rung —
 whichever rung then decides it, so call budgets and fault schedules are
-the same with the memo, the shared store or the fast path on or off.
+the same with the memo or the fast path on or off.
 The three-valued entry points (:meth:`sat_verdict`,
 :meth:`implies_verdict`, :meth:`valid_verdict`) convert those to
 ``UNKNOWN`` in ``degrade`` mode; the boolean legacy entry points
@@ -192,7 +192,7 @@ class ConditionSolver:
         condition as given, and only on its miss is the canonical form
         interned for the collapse / memo / :meth:`_decide_sat` rungs.
         A raw-rung verdict goes into the per-solver cache only, never
-        into the memo (or its journal / shared-store observers).
+        into the memo (or its checkpoint-journal observer).
 
         ``UNKNOWN`` is returned (never cached) when the governor's
         budget runs out in ``degrade`` mode; in ``fail`` mode (or from
@@ -270,8 +270,9 @@ class ConditionSolver:
         Answers from trivial structure, the per-solver cache, canonical
         collapse, or a memo *peek* — and returns ``None`` when only a
         decision rung (raw, fast path or backend) could answer.  Used
-        by the batched pruner to split condition classes into resolved
-        and residual before it charges one call per residual class.
+        by :func:`~repro.engine.pipeline.solver_prune` to split condition
+        classes into resolved and residual before it charges one call
+        per residual class.
 
         Accounting: a resolved probe counts what :meth:`sat_verdict`
         counts on the same hit path, minus the governed charge; an

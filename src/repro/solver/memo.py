@@ -73,15 +73,8 @@ class MemoTable:
         self.evictions = 0
         #: ``callback(key, value)`` hooks invoked on every :meth:`put` —
         #: the checkpoint journal persists definite verdicts as they are
-        #: computed (repro.robustness.checkpoint) and the cross-worker
-        #: shared verdict store appends them to its log
-        #: (repro.parallel.shared_memo); both can subscribe at once.
+        #: computed (repro.robustness.checkpoint).
         self.observers: List[Callable[[Tuple, bool], None]] = []
-        #: Optional ``callback(key) -> Optional[bool]`` consulted on a
-        #: local miss in :meth:`get`/:meth:`peek`; a definite answer is
-        #: folded into the table (and so re-observed) before returning.
-        #: The shared verdict store's read side plugs in here.
-        self.backing: Optional[Callable[[Tuple], Optional[bool]]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -92,28 +85,6 @@ class MemoTable:
         """Subscribe ``callback(key, value)`` to every :meth:`put`."""
         if callback not in self.observers:
             self.observers.append(callback)
-
-    def remove_observer(self, callback: Callable[[Tuple, bool], None]) -> None:
-        """Unsubscribe; absent callbacks are ignored (idempotent)."""
-        try:
-            self.observers.remove(callback)
-        except ValueError:
-            pass
-
-    @property
-    def observer(self) -> Optional[Callable[[Tuple, bool], None]]:
-        """Back-compat single-observer view: the first subscriber.
-
-        Assigning replaces *all* subscribers (the historical single-slot
-        semantics); new code should use :meth:`add_observer` /
-        :meth:`remove_observer` so the checkpoint journal and the shared
-        verdict store can coexist.
-        """
-        return self.observers[0] if self.observers else None
-
-    @observer.setter
-    def observer(self, callback: Optional[Callable[[Tuple, bool], None]]) -> None:
-        self.observers = [] if callback is None else [callback]
 
     # -- canonicalization ---------------------------------------------------
 
@@ -149,30 +120,11 @@ class MemoTable:
 
     # -- verdict storage ----------------------------------------------------
 
-    def _from_backing(self, key: Tuple) -> Optional[bool]:
-        """Consult the read-through backing; fold a definite hit.
-
-        The fold goes through :meth:`put`, so observers see the verdict
-        too — a store-served answer is journaled/persisted exactly like
-        a locally computed one (the store's own writer deduplicates).
-        """
-        if self.backing is None:
-            return None
-        got = self.backing(key)
-        if got is None:
-            return None
-        self.put(key, got)
-        return got
-
     def get(self, key: Tuple) -> Optional[bool]:
         got = self._entries.get(key)
         if got is None:
-            got = self._from_backing(key)
-            if got is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return got
+            self.misses += 1
+            return None
         self._entries.move_to_end(key)
         self.hits += 1
         return got
@@ -180,17 +132,15 @@ class MemoTable:
     def peek(self, key: Tuple) -> Optional[bool]:
         """Like :meth:`get`, but a miss is *not* counted as a miss.
 
-        The batched pruner probes the memo before deciding whether a
-        condition class needs real solving; an absent entry there is
-        followed by a real :meth:`get` on the same key, so counting the
-        probe too would double-book every miss.
+        The pruner (:func:`repro.engine.pipeline.solver_prune`) probes
+        the memo before deciding whether a condition class needs real
+        solving; an absent entry there is followed by a real :meth:`get`
+        on the same key, so counting the probe too would double-book
+        every miss.
         """
         got = self._entries.get(key)
         if got is None:
-            got = self._from_backing(key)
-            if got is not None:
-                self.hits += 1
-            return got
+            return None
         self._entries.move_to_end(key)
         self.hits += 1
         return got
@@ -210,12 +160,7 @@ class MemoTable:
     # -- bookkeeping --------------------------------------------------------
 
     def clear(self) -> None:
-        session = getattr(self, "_store_session", None)
-        if session is not None:
-            self._store_session = None
-            session.close()
         self.observers = []
-        self.backing = None
         self._entries.clear()
         self._canon.clear()
         self.interner.clear()

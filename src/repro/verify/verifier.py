@@ -204,140 +204,28 @@ class RelativeCompleteVerifier:
         targets: Sequence[Constraint],
         update: Optional[Update] = None,
         state: Optional[Database] = None,
-        jobs: int = 1,
-        executor=None,
         checkpoint=None,
     ) -> List[Verdict]:
         """Run the ladder on independent target constraints, in order.
 
-        ``jobs=1`` is exactly a loop over :meth:`verify`.  With ``jobs >
-        1`` the verifier's configuration (known constraints, schemas,
-        domains, budgets) ships to each worker once, each target climbs
-        its own ladder under a governor rebuilt from the parent's
-        remaining budgets, and picklable :class:`Verdict` objects come
-        back in target order.  Worker memo tables are private to their
-        process — definite verdicts computed in workers are *not* folded
-        back into the parent's memo (unlike batched pruning, the ladder
-        mixes sat and implication keys whose conditions stay
-        worker-side), so a later serial run may redo that work; results
-        are unaffected.
-
-        A target whose worker is lost past the supervised executor's
-        retry budget (``on_worker_loss="degrade"``) reports
-        ``INCONCLUSIVE`` — never a silently missing or fabricated
-        verdict.  With ``checkpoint`` (a
+        A loop over :meth:`verify`.  With ``checkpoint`` (a
         :class:`~repro.robustness.checkpoint.CheckpointJournal`),
         already-durable verdicts are replayed and fresh ones journaled
         per target, so a killed run resumes re-verifying nothing.
         """
-        verdicts: Dict[int, Verdict] = {}
-        pending: List[tuple] = []
+        verdicts: List[Verdict] = []
         for i, target in enumerate(targets):
-            payload = None
-            if checkpoint is not None:
+            key = {"unit": "verify", "target": target.name, "index": i}
+            payload = checkpoint.get("verify", key) if checkpoint is not None else None
+            if payload is not None:
                 from ..robustness.checkpoint import verdict_from_obj
 
-                payload = checkpoint.get(
-                    "verify", {"unit": "verify", "target": target.name, "index": i}
-                )
-            if payload is not None:
-                verdicts[i] = verdict_from_obj(payload)
-            else:
-                pending.append((i, target))
+                verdicts.append(verdict_from_obj(payload))
+                continue
+            verdict = self.verify(target, update=update, state=state)
+            if checkpoint is not None:
+                from ..robustness.checkpoint import verdict_to_obj
 
-        if pending:
-            computed = self._verify_pending(
-                [t for _, t in pending], update, state, jobs, executor
-            )
-            for (i, target), verdict in zip(pending, computed):
-                if checkpoint is not None:
-                    from ..robustness.checkpoint import verdict_to_obj
-
-                    checkpoint.record(
-                        "verify",
-                        {"unit": "verify", "target": target.name, "index": i},
-                        verdict_to_obj(verdict),
-                    )
-                verdicts[i] = verdict
-        return [verdicts[i] for i in range(len(targets))]
-
-    def _verify_pending(
-        self,
-        targets: Sequence[Constraint],
-        update: Optional[Update],
-        state: Optional[Database],
-        jobs: int,
-        executor,
-    ) -> List[Verdict]:
-        """The actual serial-or-parallel ladder execution."""
-        if jobs <= 1 or len(targets) <= 1:
-            return [self.verify(t, update=update, state=state) for t in targets]
-        from ..parallel.executor import balanced_shards
-        from ..parallel.shared_memo import reads_allowed, session_for
-        from ..parallel.spec import GovernorSpec
-        from ..parallel.supervisor import SupervisedExecutor, TaskLost, fold_failures
-        from ..parallel.worker import init_verify_worker, run_verify_shard
-
-        executor = executor or SupervisedExecutor(jobs)
-        governor = self.solver.governor
-        session = session_for(self.solver.memo, executor)
-        reads = reads_allowed(governor)
-        if session is not None:
-            session.enable_parent_reads(reads)
-
-        def _initargs() -> tuple:
-            # Re-snapshot the live governor on every (re)spawn: the spec
-            # carries the deadline as *remaining* seconds, so a retried
-            # target must not be handed the full original budget again.
-            # The shared update/state pair ships here, once per worker,
-            # instead of riding along in every task payload.
-            return (
-                self.known,
-                self.schemas,
-                self.column_domains,
-                self.generic_rows,
-                self.budget_retries,
-                self.budget_growth,
-                self.solver.domains,
-                self.solver.enumeration_limit,
-                GovernorSpec.from_governor(governor),
-                self.solver.memo is not None,
-                self.solver.fast_path,
-                session.handle(reads) if session is not None else None,
-                update,
-                state,
-                # Warm worker memos from the parent's, ungoverned runs
-                # only (mirrors the store-read gating; see shared_memo).
-                self.solver.memo._entries
-                if reads and self.solver.memo is not None
-                else None,
-            )
-
-        # Coarse sharding: a batch of targets per task message (2 shards
-        # per worker for load balance), not one task per target.
-        shards = balanced_shards(list(targets), jobs * 2)
-        results = executor.map(
-            run_verify_shard,
-            shards,
-            initializer=init_verify_worker,
-            initargs=_initargs(),
-            refresh_initargs=_initargs,
-        )
-        fold_failures(executor, governor=governor)
-        out: List[Verdict] = []
-        for shard, res in zip(shards, results):
-            if isinstance(res, TaskLost):
-                # Worker loss degrades every target of the shard to
-                # INCONCLUSIVE — an explicit "more resources needed",
-                # never a silent partial answer.
-                out.extend(
-                    Verdict(
-                        Status.INCONCLUSIVE,
-                        None,
-                        trail=[f"worker lost: {res.reason}"],
-                    )
-                    for _ in shard
-                )
-            else:
-                out.extend(res["verdicts"])
-        return out
+                checkpoint.record("verify", key, verdict_to_obj(verdict))
+            verdicts.append(verdict)
+        return verdicts

@@ -1,27 +1,21 @@
 """Shared machinery for the chaos suite.
 
 Faults are driven through the production ``FAURE_CHAOS`` protocol (see
-:func:`repro.parallel.supervisor.chaos_directives`): a directive names a
-task index and a sentinel file, the supervised worker loop SIGKILLs or
-hangs itself when it picks that task up, and the sentinel makes the
-fault once-only so the retry succeeds.  Everything a worker process
-must import lives at module level (the multiprocessing pickling
-contract).
+:mod:`repro.robustness.chaos`): a directive names the instant to kill or
+stall a real process and a sentinel file that makes the fault
+once-only, so the restarted process runs clean.
 """
 
 from __future__ import annotations
-
-import os
-import time
 
 import pytest
 
 from repro.network.forwarding import compile_forwarding
 from repro.workloads.ribgen import RibConfig, generate_rib
 
-#: Small enough that a chaos run (kill + timeout + retries) stays well
-#: under the suite's SIGALRM budget, big enough to have multi-path
-#: prefixes for pattern queries.
+#: Small enough that a kill/resume run stays well under the suite's
+#: SIGALRM budget, big enough to have multi-path prefixes for pattern
+#: queries.
 RIB_PREFIXES = 8
 
 
@@ -30,58 +24,3 @@ def rib():
     """A small real RIB workload: (routes, compiled forwarding)."""
     routes = generate_rib(RibConfig(prefixes=RIB_PREFIXES, as_count=40, seed=20210610))
     return routes, compile_forwarding(routes)
-
-
-@pytest.fixture
-def chaos_env(tmp_path, monkeypatch):
-    """Set ``FAURE_CHAOS`` from directive templates.
-
-    Templates use ``{s}`` for a fresh sentinel path, e.g.
-    ``chaos_env("kill:0:{s}", "hang:1:5:{s}")``.
-    """
-
-    def set_chaos(*templates: str) -> None:
-        directives = []
-        for i, template in enumerate(templates):
-            directives.append(template.format(s=tmp_path / f"sentinel{i}"))
-        monkeypatch.setenv("FAURE_CHAOS", ";".join(directives))
-
-    yield set_chaos
-    monkeypatch.delenv("FAURE_CHAOS", raising=False)
-
-
-# -- picklable worker tasks ---------------------------------------------------
-
-
-def double(x: int) -> int:
-    return x * 2
-
-
-def slow_double(x: int) -> int:
-    time.sleep(0.05)
-    return x * 2
-
-
-def failing_task(x: int) -> int:
-    """Deterministic application error on selected inputs."""
-    if x % 3 == 0:
-        raise ValueError(f"bad input {x}")
-    return x * 2
-
-
-#: Initializer state registry, mirroring repro.parallel.worker's.
-_GUARDED_STATE = {}
-INLINE_STATE_DICTS = (_GUARDED_STATE,)
-
-
-def stateful_init(tag: str) -> None:
-    _GUARDED_STATE["tag"] = tag
-
-
-def stateful_task(x: int) -> str:
-    return f"{_GUARDED_STATE['tag']}:{x}"
-
-
-def pid_task(_x) -> int:
-    """Identifies which process ran the task (parent vs worker)."""
-    return os.getpid()

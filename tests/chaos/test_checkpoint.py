@@ -10,6 +10,10 @@ an uninterrupted run, re-running zero completed units.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,9 +38,30 @@ from repro.verify.constraints import Constraint
 from repro.verify.verifier import RelativeCompleteVerifier
 from repro.workloads.ribgen import dump_rib
 
-from .test_chaos_invariance import run_cli, stable_lines
-
 FP = fingerprint_of("workload-under-test")
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def stable_lines(output: str) -> str:
+    """Everything but wall-clock timings (the only permitted variance)."""
+    return "\n".join(
+        line for line in output.splitlines() if "seconds" not in line
+    )
+
+
+def run_cli(args, env_extra=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("FAURE_CHAOS", None)
+    if env_extra:
+        env.update(env_extra)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=240,
+    )
 
 
 class TestJournalUnits:
@@ -163,7 +188,7 @@ class TestVerifyResume:
 
 
 class TestCliKillResume:
-    """ISSUE acceptance: kill mid-checkpoint, resume, identical stdout."""
+    """Kill mid-checkpoint, resume, identical stdout."""
 
     def test_analyze_killed_then_resumed_matches_uninterrupted(self, rib, tmp_path):
         routes, _ = rib

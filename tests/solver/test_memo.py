@@ -180,6 +180,16 @@ class TestContracts:
         assert len(memo.interner) == 0
         assert memo.counters()["memo_hits"] == 0
 
+    def test_multiple_observers_all_fire(self):
+        memo = MemoTable()
+        first, second = [], []
+        observe = lambda k, v: first.append((k, v))  # noqa: E731
+        memo.add_observer(observe)
+        memo.add_observer(observe)  # subscribing twice fires once
+        memo.add_observer(lambda k, v: second.append((k, v)))
+        memo.put(("sat", "c", ()), True)
+        assert first == second == [(("sat", "c", ()), True)]
+
 
 class TestSurfacing:
     def test_eval_stats_extra_carries_memo_deltas(self):

@@ -160,6 +160,29 @@ class TestVerifyCommand:
         assert code in (0, 1)  # decided either way, but it must run
         assert "category" in out
 
+    def test_multiple_targets_verified_in_order(self, constraint_files, capsys):
+        target, known = constraint_files
+        second = target.parent / "T2.fl"
+        second.write_text("panic :- R(Mkt, CS, $q), not Fw(Mkt, CS).")
+        code = main(
+            ["verify", "--target", str(target), str(second), "--known", str(known)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("holds") >= 2
+        assert out.index("T1:") < out.index("T2:")
+
+    def test_one_failing_target_fails_the_run(self, constraint_files, capsys):
+        good, known = constraint_files
+        bad = good.parent / "T2.fl"
+        bad.write_text("panic :- R(Mkt, CS, $p), not Zz(Mkt, CS).")
+        code = main(
+            ["verify", "--target", str(good), str(bad), "--known", str(known)]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "holds" in out and "unknown" in out
+
 
 class TestExamplesCommand:
     def test_lists_all(self, capsys):
