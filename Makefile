@@ -78,10 +78,11 @@ bench-tables:
 
 # CI-sized Table-4 smoke: smallest prefix size; exits non-zero unless
 # every JSON artifact parses and the incremental and serve correctness
-# gates hold.
+# gates hold.  The smoke-sized artifacts go to build/bench-smoke (git-
+# ignored), never over the committed baselines.
 bench-smoke:
 	$(RUN) benchmarks/bench_table4.py --sizes 20
-	$(RUN) benchmarks/report.py --smoke --sizes 20
+	$(RUN) benchmarks/report.py --smoke --sizes 20 --out-dir build/bench-smoke
 
 # lint-findings oracle gate: on seeded random programs every F016/F019
 # finding is validated by evaluating without the flagged rules, every

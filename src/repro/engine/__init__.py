@@ -24,7 +24,6 @@ from .algebra import (
     evaluate_plan,
     resolve_condition,
 )
-from .aggregates import certain_count, count_bounds, possible_count
 from .explain import explain
 from .pipeline import run_eager, run_lazy, solver_prune
 from .sql import SqlEngine, SqlError
@@ -50,9 +49,6 @@ __all__ = [
     "evaluate_plan",
     "resolve_condition",
     "explain",
-    "certain_count",
-    "count_bounds",
-    "possible_count",
     "run_eager",
     "run_lazy",
     "solver_prune",

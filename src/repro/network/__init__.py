@@ -30,12 +30,6 @@ from .resilience import (
     critical_sets,
     pair_tolerance,
 )
-from .routeselect import (
-    CandidateRoute,
-    classify_selection,
-    selection_conditions,
-    selection_table,
-)
 from .topology import Link, Topology
 
 __all__ = [
@@ -68,10 +62,6 @@ __all__ = [
     "analyze_resilience",
     "critical_sets",
     "pair_tolerance",
-    "CandidateRoute",
-    "classify_selection",
-    "selection_conditions",
-    "selection_table",
     "Link",
     "Topology",
 ]

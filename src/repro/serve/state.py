@@ -46,10 +46,13 @@ intact) instead of stalling the daemon.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import os
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..ctable.condition import Condition, FALSE, TRUE, TrueCond, conjoin, eq
 from ..ctable.io import (
@@ -80,7 +83,7 @@ from .snapshots import (
 )
 from .wal import UpdateEntry, WriteAheadLog, wal_fingerprint
 
-__all__ = ["ServeBudgets", "ServeState", "conjoin_verdicts", "row_to_obj"]
+__all__ = ["ServeBudgets", "ServeState", "row_to_obj"]
 
 
 @dataclass(frozen=True)
@@ -136,13 +139,13 @@ def row_to_obj(tup: CTuple, unknown: bool = False, condition: Optional[Condition
     return row
 
 
-def conjoin_verdicts(left: Verdict, right: Verdict) -> Verdict:
-    """Three-valued AND of the verdicts of two variable-disjoint conditions."""
-    if left is Verdict.UNSAT or right is Verdict.UNSAT:
-        return Verdict.UNSAT
-    if left is Verdict.UNKNOWN or right is Verdict.UNKNOWN:
-        return Verdict.UNKNOWN
-    return Verdict.SAT
+def _members(positions: Tuple[int, ...], among: Tuple[int, ...]) -> int:
+    """How many of ``among`` the sorted ``positions`` hold."""
+    count = 0
+    for i in among:
+        k = bisect_left(positions, i)
+        count += k < len(positions) and positions[k] == i
+    return count
 
 
 def _maybe_compact_die() -> None:
@@ -177,6 +180,7 @@ class ServeState:
         self.fingerprint = wal_fingerprint(program_text, database_text)
         self.epochs = EpochManager()
         self._epoch = 0
+        self._generation = 0  # bumped by every _rebuild (a fresh evaluator)
         self._lock = threading.Lock()  # serializes submit/recovery/compaction
         self.counters: Dict[str, int] = {
             "updates_applied": 0,
@@ -243,10 +247,10 @@ class ServeState:
             base_seq = 0
         self.domains = domains
         self._memo = MemoTable()
-        #: Definite ``sat(effective)`` verdicts of the most recently
-        #: built read index per relation, inherited by the next epoch's
-        #: index.  Reset with the domain map they were decided under.
-        self._read_verdicts: Dict[str, Dict[Condition, bool]] = {}
+        #: The newest read index built per relation; the next epoch's
+        #: index is carried forward from it while the generation holds.
+        self._newest: Dict[str, RelationIndex] = {}
+        self._generation += 1
         self._update_governor = self.budgets.governor()
         solver = ConditionSolver(
             domains, governor=self._update_governor, memo=self._memo
@@ -279,6 +283,7 @@ class ServeState:
                 self._epoch,
                 self.wal.last_seq,
                 assignments=self.assignments,
+                generation=self._generation,
             )
         )
 
@@ -587,8 +592,11 @@ class ServeState:
         the row (those worlds no longer exist), one folding to TRUE
         returns the row unconditional — so answers after a withdrawal
         match a from-scratch evaluation without the withdrawn fact.
-        The substitution happens once per epoch, in the snapshot's read
-        index (:class:`~repro.serve.epochs.RelationIndex`).
+        The substitution lives in the snapshot's read index
+        (:class:`~repro.serve.epochs.RelationIndex`), which each epoch
+        carries forward from the newest one built, so a row is
+        substituted once per generation and once more per withdrawal
+        of a guard it names.
 
         With a ``where`` filter, a row is kept when ``effective ∧
         filter`` is satisfiable, decided by a fresh per-request governed
@@ -597,7 +605,9 @@ class ServeState:
         response degrades to ``status: INCONCLUSIVE`` rather than
         stalling or failing.  Only rows sharing a c-variable with the
         filter send the conjunction to the solver; see
-        :meth:`_filter_verdicts`.
+        :meth:`_filter_verdicts`.  Without a filter, ``total`` is the
+        index's live-row count.  Either way only the first ``limit``
+        rows are encoded.
         """
         if limit is not None and (not isinstance(limit, int) or limit < 0):
             raise ServeRequestError("MALFORMED", "'limit' must be a non-negative integer")
@@ -613,28 +623,19 @@ class ServeState:
         if condition is not None and assignments:
             condition = condition.substitute(assignments)
         self.counters["queries"] += 1
-        index = snapshot.read_index(relation, self._read_verdicts.get(relation))
-        # The next epoch's first reader inherits these definite verdicts.
-        self._read_verdicts[relation] = index.verdicts
+        newest = self._newest.get(relation)
+        index = snapshot.read_index(relation, newest)
+        if newest is None or index.epoch > newest.epoch:
+            self._newest[relation] = index
+        inconclusive = False
         if condition is None:
-            verdicts = ((i, Verdict.SAT) for i in range(len(index)))
+            total = len(index)
+            kept = [(i, False) for i in islice(index.rows(), limit)]
         elif condition is FALSE:
-            verdicts = iter(())
+            total, kept = 0, []
         else:
-            verdicts = self._filter_verdicts(index, condition)
-        kept = []
-        total = 0
-        status = "OK"
-        for position, verdict in verdicts:
-            if verdict is Verdict.UNSAT:
-                continue
-            unknown = verdict is Verdict.UNKNOWN
-            if unknown:
-                status = "INCONCLUSIVE"
-            if limit is None or total < limit:
-                kept.append((position, unknown))
-            total += 1
-        if status == "INCONCLUSIVE":
+            total, kept, inconclusive = self._filter_verdicts(index, condition, limit)
+        if inconclusive:
             self.counters["queries_inconclusive"] += 1
         rows = [
             row_to_obj(index.tuples[i], unknown=unknown, condition=index.effective[i])
@@ -646,7 +647,7 @@ class ServeState:
             "seq": snapshot.seq,
             "relation": relation,
             "schema": list(view.schema),
-            "status": status,
+            "status": "INCONCLUSIVE" if inconclusive else "OK",
             "rows": rows,
             "total": total,
         }
@@ -655,37 +656,49 @@ class ServeState:
         return response
 
     def _filter_verdicts(
-        self, index: RelationIndex, condition: Condition
-    ) -> Iterator[Tuple[int, Verdict]]:
-        """``sat(effective ∧ filter)`` for every indexed row, in order.
+        self, index: RelationIndex, condition: Condition, limit: Optional[int]
+    ) -> Tuple[int, List[Tuple[int, bool]], bool]:
+        """``sat(effective ∧ filter)`` over the index: ``(total, kept, inconclusive)``.
 
-        Every c-variable has its own domain, so a conjunction over
-        disjoint variable sets is satisfiable exactly when each side
-        is: a row sharing no c-variable with the filter is decided as
-        the three-valued AND of its cached ``sat(effective)`` and the
-        filter's own verdict (decided once per request).  Only rows
-        that share a variable send the conjunction to the solver.
+        ``kept`` lists the first ``limit`` surviving ``(position,
+        unknown)`` pairs in row order.  Every c-variable has its own
+        domain, so a conjunction over disjoint variable sets is
+        satisfiable exactly when each side is: a row sharing no
+        c-variable with the filter is decided as the three-valued AND of
+        its own ``sat(effective)`` (settled once in the index, pending
+        while the governor leaves it UNKNOWN) and the filter's verdict.
+        Only the rows the index lists under a filter variable send the
+        conjunction to the solver; the rest are counted from the index's
+        SAT and pending positions and visited only up to ``limit``.
         """
         solver = ConditionSolver(
             self.domains, governor=self.budgets.governor(), memo=self._memo
         )
         filter_verdict = solver.sat_verdict(condition)
-        filter_vars = condition.cvariables()
-        known = index.verdicts
-        for position, (effective, names) in enumerate(zip(index.effective, index.cvars)):
-            if not names.isdisjoint(filter_vars):
-                yield position, solver.sat_verdict(conjoin([effective, condition]))
-            elif filter_verdict is Verdict.UNSAT:
-                yield position, Verdict.UNSAT
-            else:
-                cached = known.get(effective)
-                if cached is None:
-                    row_verdict = solver.sat_verdict(effective)
-                    if row_verdict.is_definite:
-                        known[effective] = row_verdict is Verdict.SAT
-                else:
-                    row_verdict = Verdict.from_bool(cached)
-                yield position, conjoin_verdicts(row_verdict, filter_verdict)
+        if filter_verdict is Verdict.UNSAT:
+            return 0, [], False
+        filter_unknown = filter_verdict is Verdict.UNKNOWN
+        sat, pending = index.settle(solver)
+        shared = index.sharing(condition.cvariables())
+        matched = []
+        inconclusive = False
+        for i in shared:
+            verdict = solver.sat_verdict(conjoin([index.effective[i], condition]))
+            if verdict is not Verdict.UNSAT:
+                unknown = verdict is Verdict.UNKNOWN
+                inconclusive = inconclusive or unknown
+                matched.append((i, unknown))
+        lone_sat = len(sat) - _members(sat, shared)
+        lone_pending = len(pending) - _members(pending, shared)
+        if lone_pending or (filter_unknown and lone_sat):
+            inconclusive = True
+        skip = frozenset(shared)
+        lone = heapq.merge(
+            ((i, filter_unknown) for i in sat if i not in skip),
+            ((i, True) for i in pending if i not in skip),
+        )
+        kept = list(islice(heapq.merge(lone, matched), limit))
+        return lone_sat + lone_pending + len(matched), kept, inconclusive
 
     # -- health --------------------------------------------------------------
 

@@ -23,7 +23,6 @@ from .domains import BOOL_DOMAIN, Domain, DomainMap, FiniteDomain, IntRange, Unb
 from .enumerate import Assignment, count_models, find_model, iter_models
 from .interface import SHARED_MEMO, ConditionSolver, SolverStats
 from .memo import MemoTable, reset_shared_memo, shared_memo
-from .minimize import MinimizeError, minimize
 from .theory import UnsupportedCondition, check_conjunction
 
 __all__ = [
@@ -52,8 +51,6 @@ __all__ = [
     "MemoTable",
     "shared_memo",
     "reset_shared_memo",
-    "MinimizeError",
-    "minimize",
     "UnsupportedCondition",
     "check_conjunction",
 ]

@@ -1,10 +1,11 @@
 """The read path against a naive reference: byte-identical answers.
 
-``ServeState.query`` answers from a per-epoch read index and decides a
-row that shares no c-variable with the filter without conjoining the
-two.  The reference here is the direct reading of the semantics:
-substitute the guard assignments into every row, conjoin each with the
-filter, decide with a fresh solver, encode every row, then truncate.
+``ServeState.query`` answers from a per-epoch read index, carried
+forward from the newest index built, and decides a row that shares no
+c-variable with the filter without conjoining the two.  The reference
+here is the direct reading of the semantics: substitute the guard
+assignments into every row, conjoin each with the filter, decide with a
+fresh solver, encode every row, then truncate.
 Under seeded churn (removable inserts, withdrawals, a compaction and a
 restart from the snapshot) both must produce the same JSON bytes.
 """
@@ -28,7 +29,7 @@ from repro.ctable.terms import Constant, CVariable
 from repro.robustness.verdict import Verdict
 from repro.serve import epochs
 from repro.serve.protocol import ServeRequestError, parse_where
-from repro.serve.state import conjoin_verdicts, row_to_obj
+from repro.serve.state import ServeBudgets, row_to_obj
 from repro.serve.wal import UpdateEntry
 from repro.solver.domains import BOOL_DOMAIN, DomainMap, IntRange, Unbounded
 from repro.solver.interface import ConditionSolver
@@ -289,6 +290,144 @@ def test_reader_keeps_its_epoch_and_index(make_state):
     assert len(state.epochs.current().read_index("R")) > len(before)
 
 
+# -- the carried-forward index -------------------------------------------------
+
+
+def index_state(index):
+    """Everything an index answers from, with its verdicts settled."""
+    solver = ConditionSolver(index_state.domains, memo=None)
+    sat, pending = index.settle(solver)
+    return {
+        "tuples": index.tuples,
+        "effective": index.effective,
+        "cvars": index.cvars,
+        "positions": index.positions,
+        "live": len(index),
+        "sat": sat,
+        "pending": pending,
+    }
+
+
+def assert_carried_equals_built(state):
+    snapshot = state.epochs.current()
+    index_state.domains = state.domains
+    for relation in ("F", "R"):
+        state.query(relation, where="$u1 == 1", limit=1)
+        carried = snapshot.read_index(relation)
+        built = epochs.RelationIndex.build(
+            snapshot.relation(relation), snapshot.assignments
+        )
+        assert index_state(carried) == index_state(built), relation
+        assert not index_state(built)["pending"]
+
+
+def test_carried_index_equals_a_fresh_build_under_churn(make_state, monkeypatch):
+    bases = []
+    build = epochs.RelationIndex.build.__func__
+
+    def recording_build(cls, view, assignments, base=None, *args):
+        bases.append(base)
+        return build(cls, view, assignments, base, *args)
+
+    monkeypatch.setattr(epochs.RelationIndex, "build", classmethod(recording_build))
+    rng = random.Random(7)
+    db_text = churn_database_text()
+    state = make_state(database_text=db_text)
+    live = []
+    assert_carried_equals_built(state)
+    for step in range(24):
+        # several epochs go unread in a row: the next index is carried
+        # forward across all of them at once
+        churn(state, rng, 1 + step % 3, live)
+        if step == 12:
+            assert state.compact()["compacted"]
+        assert_carried_equals_built(state)
+    state.close()
+    restarted = make_state(database_text=db_text)
+    assert restarted.snapshot_path is not None
+    for step in range(6):
+        churn(restarted, rng, 2, live)
+        assert_carried_equals_built(restarted)
+    carried = [base for base in bases if base is not None]
+    # every read after the first of a generation carried its index forward
+    assert len(carried) >= 2 * (24 + 6) - 2
+    assert state.counters["withdrawals"] > 3
+
+
+def test_warm_read_decides_only_rows_sharing_a_filter_variable(make_state, monkeypatch):
+    state = make_state(database_text=churn_database_text())
+    churn(state, random.Random(4), 10, [])
+    state.query("R", where="$u0 == 1")  # settles every row's own verdict
+    index = state.epochs.current().read_index("R")
+    calls = {"sat": 0}
+    sat = ConditionSolver.sat_verdict
+
+    def counting_sat(self, condition):
+        calls["sat"] += 1
+        return sat(self, condition)
+
+    for where in ("$u1 == 1", "$u3 == 0", "$w == 2", "$u0 == 0 OR $w == 3"):
+        shared = index.sharing(parse_where(where).cvariables())
+        assert len(shared) < len(index)
+        calls["sat"] = 0
+        monkeypatch.setattr(ConditionSolver, "sat_verdict", counting_sat)
+        got = state.query("R", where=where, limit=2)
+        monkeypatch.undo()
+        assert calls["sat"] <= 1 + len(shared), where
+        want = reference_query(state, "R", where=where, limit=2)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_held_epoch_answers_unchanged_after_its_index_is_carried_forward(
+    make_state, monkeypatch
+):
+    state = make_state(database_text=churn_database_text())
+    churn(state, random.Random(9), 6, [])
+    guards = [
+        state.submit(removable(("p1", "D", "G"), "$u1 == 1"))["guard"],
+        state.submit(removable(("p2", "E", "A")))["guard"],
+    ]
+    held = state.epochs.current()
+    requests = [
+        (relation, where, limit)
+        for relation in ("F", "R")
+        for where in filters_for(state)
+        for limit in (None, 1)
+    ]
+    before = [json.dumps(state.query(*r), sort_keys=True) for r in requests]
+    held_index = held.read_index("R")
+    frozen = (held_index.effective, dict(held_index.positions), held_index.verdicts)
+    # epoch N+1 withdraws guards whose rows the held index lists, and adds rows
+    for guard in guards:
+        state.submit(withdraw(guard))
+    state.submit(removable(("p1", "G", "A"), "$u1 == 1"))
+    after_write = [json.dumps(state.query(*r), sort_keys=True) for r in requests]
+    assert state.epochs.current().read_index("R") is not held_index
+    assert after_write != before
+    assert frozen == (held_index.effective, held_index.positions, held_index.verdicts)
+    monkeypatch.setattr(state.epochs, "current", lambda: held)
+    again = [json.dumps(state.query(*r), sort_keys=True) for r in requests]
+    assert again == before
+
+
+def test_budgeted_reads_store_no_unknown_verdict(make_state):
+    state = make_state(database_text=churn_database_text())
+    rng = random.Random(11)
+    live = []
+    inconclusive = 0
+    for _ in range(4):
+        churn(state, rng, 3, live)
+        for budget in (0, 3):
+            state.budgets = ServeBudgets(solver_call_budget=budget)
+            for relation in ("F", "R"):
+                for where in filters_for(state):
+                    answer = state.query(relation, where=where)
+                    inconclusive += answer["status"] == "INCONCLUSIVE"
+        state.budgets = ServeBudgets()
+        assert_matches_reference(state)
+    assert inconclusive  # the budgets did leave rows undecided
+
+
 # -- the split verdict ---------------------------------------------------------
 
 _DOMAINS = DomainMap(
@@ -323,6 +462,15 @@ def _conditions(prefix):
         ),
         max_leaves=6,
     )
+
+
+def conjoin_verdicts(left, right):
+    """The read path's rule for a row sharing no c-variable with the filter."""
+    if left is Verdict.UNSAT or right is Verdict.UNSAT:
+        return Verdict.UNSAT
+    if left is Verdict.UNKNOWN or right is Verdict.UNKNOWN:
+        return Verdict.UNKNOWN
+    return Verdict.SAT
 
 
 @settings(max_examples=200, deadline=None)
